@@ -18,14 +18,14 @@
 //! exactly the overhead the poll tier exists to remove, so the ordering is
 //! still meaningful.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdq_core::executor::{build_executor, ExecutorSpec};
 use pdq_dsm::ProtocolEvent;
 use pdq_workloads::{
-    client_config, generate_events, run_client_events, serve_poll, serve_pool, BatchService,
-    ExecutorService, PollOptions, PoolOptions, ProtocolService, ServerConfig, TcpTransport,
+    connect_tcp_clients, generate_events, run_tcp_clients, serve_poll, serve_pool, BatchService,
+    ExecutorService, PollOptions, PoolOptions, ProtocolService, ServerConfig,
 };
 
 const TOTAL_EVENTS: usize = 2_000;
@@ -122,6 +122,7 @@ fn drive_tier(poll: bool, conns: usize) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     let base = service_config().events((TOTAL_EVENTS / conns).max(1));
+    let transports = connect_tcp_clients(addr, conns as u64).expect("connect");
     std::thread::scope(|scope| {
         let service = &service;
         let server = scope.spawn(move || {
@@ -131,19 +132,8 @@ fn drive_tier(poll: bool, conns: usize) {
                 serve_pool(&listener, service, &PoolOptions::new(conns, CLIENT_WINDOW)).map(|_| ())
             }
         });
-        let mut clients = Vec::with_capacity(conns);
-        for client in 0..conns {
-            let events = generate_events(&client_config(&base, client as u64));
-            clients.push(scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).expect("nodelay");
-                let mut transport = TcpTransport::new(stream).expect("transport");
-                run_client_events(&mut transport, &events, CLIENT_WINDOW, false)
-                    .expect("client completes");
-            }));
-        }
-        for client in clients {
-            client.join().expect("client thread");
+        for client in run_tcp_clients(transports, &base, CLIENT_WINDOW, false) {
+            client.expect("client completes");
         }
         server
             .join()

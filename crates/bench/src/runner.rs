@@ -8,6 +8,7 @@
 
 use std::process::ExitCode;
 
+use pdq_core::executor::parse_env_value;
 use pdq_dsm::BlockSize;
 use pdq_workloads::WorkloadScale;
 
@@ -182,33 +183,6 @@ impl EnvConfig {
                 .unwrap_or(1)
         })
     }
-}
-
-/// Validates one environment value: `None`/empty means unset, anything else
-/// must parse as a `T` inside `[lo, hi]`. Pure function of its arguments so
-/// the rejection rules are unit-testable without touching the process
-/// environment.
-fn parse_env_value<T: std::str::FromStr + PartialOrd + std::fmt::Display + Copy>(
-    name: &str,
-    raw: Option<&str>,
-    lo: T,
-    hi: T,
-) -> Result<Option<T>, String> {
-    let raw = match raw {
-        Some(v) if !v.is_empty() => v,
-        _ => return Ok(None),
-    };
-    let value: T = raw
-        .parse()
-        .map_err(|_| format!("{name}={raw} is not a valid number (expected {lo}..={hi})"))?;
-    // Negated >= / <= (rather than < / >) so a NaN scale fails the range
-    // check instead of slipping past both comparisons.
-    if !(value >= lo && value <= hi) {
-        return Err(format!(
-            "{name}={raw} is out of range (expected {lo}..={hi})"
-        ));
-    }
-    Ok(Some(value))
 }
 
 /// Reads and validates environment variable `name` within `[lo, hi]`.

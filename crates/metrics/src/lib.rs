@@ -33,4 +33,4 @@ pub use registry::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
     HISTOGRAM_BUCKETS,
 };
-pub use trace::{validate_jsonl, TraceLog, TraceValue};
+pub use trace::{push_json_string, validate_jsonl, TraceLog, TraceValue};

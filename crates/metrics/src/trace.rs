@@ -165,7 +165,7 @@ impl TraceLog {
 }
 
 /// Appends `s` as a JSON string literal (quoted, escaped).
-fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

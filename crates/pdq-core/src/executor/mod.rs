@@ -670,6 +670,39 @@ pub fn parse_ring_value(raw: &str) -> Result<Option<bool>, String> {
     }
 }
 
+/// Validates one numeric environment value: `None`/empty means unset,
+/// anything else must parse as a `T` inside `[lo, hi]`. Malformed or
+/// out-of-range values are rejected with a message naming the variable, the
+/// offending value, and the accepted range — never silently replaced with a
+/// default. Pure function of its arguments so frontends can unit-test their
+/// rejection paths without touching the process environment.
+///
+/// # Errors
+///
+/// A human-readable message when `raw` does not parse or is out of range.
+pub fn parse_env_value<T: std::str::FromStr + PartialOrd + std::fmt::Display + Copy>(
+    name: &str,
+    raw: Option<&str>,
+    lo: T,
+    hi: T,
+) -> Result<Option<T>, String> {
+    let raw = match raw {
+        Some(v) if !v.is_empty() => v,
+        _ => return Ok(None),
+    };
+    let value: T = raw
+        .parse()
+        .map_err(|_| format!("{name}={raw} is not a valid number (expected {lo}..={hi})"))?;
+    // Negated >= / <= (rather than < / >) so a NaN fails the range check
+    // instead of slipping past both comparisons.
+    if !(value >= lo && value <= hi) {
+        return Err(format!(
+            "{name}={raw} is out of range (expected {lo}..={hi})"
+        ));
+    }
+    Ok(Some(value))
+}
+
 /// Resolves a builder's ring override against the environment: an explicit
 /// builder/spec setting wins, then `PDQ_RING`, then the default (enabled).
 ///

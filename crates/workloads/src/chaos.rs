@@ -36,23 +36,24 @@
 //! | `panic`      | poisoned handlers at a seeded rate    | `ACK_PANICKED` for poisoned events only; all other keys' aggregates intact |
 //! | `recover`    | injected close kills a WAL-logged server, then a seeded torn cut | recovery replays an exact prefix, never behind a sync point; snapshot+suffix replay equals full-log replay |
 
-use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pdq_core::executor::{Executor, ExecutorExt, TypedFuture};
-use pdq_dsm::{BlockAddr, Message, PageAddr, ProtocolEvent, Request};
+use pdq_dsm::{BlockAddr, ProtocolEvent};
 use pdq_sim::DetRng;
 
-use crate::protocol_server::{reference_aggregate, ServerAggregate, ServerError, ServerState};
-use crate::service::{
-    decode_ack, decode_aggregate_reply, decode_request, encode_aggregate_request,
-    encode_event_request, recv_frame, serve, serve_durable, serve_tcp_once, Durability,
-    ProtocolService, Reply, WireRequest, ACK_DONE, ACK_PANICKED,
+use crate::protocol_server::{
+    mixed_events, reference_aggregate, ServerAggregate, ServerError, ServerState,
 };
-use crate::transport::{loopback_pair, Transport, MAX_FRAME_LEN};
+use crate::server::{serve_pool, PoolOptions};
+use crate::service::{
+    decode_request, encode_aggregate_request, encode_event_request, run_window, serve_durable,
+    Client, Durability, Expect, Finish, ProtocolService, Reply, WireRequest,
+};
+use crate::transport::{loopback_pair, LoopbackTransport, Transport, MAX_FRAME_LEN};
 use crate::wal::{replay, scan_bytes, scan_bytes_full, SharedSink, WalFaultPlan, WalWriter};
 
 /// `DetRng` stream id for adversarial event generation.
@@ -110,61 +111,11 @@ impl Zipf {
 /// the rest incoming coherence messages of every kind, and an occasional
 /// `Sequential`-keyed page operation.
 pub fn adversarial_events(cfg: &ChaosConfig) -> Vec<ProtocolEvent> {
-    let mut rng = DetRng::stream(cfg.seed, EVENT_STREAM);
     let zipf = Zipf::new(cfg.blocks.max(1), cfg.zipf_s);
-    let blocks = cfg.blocks.max(1);
-    let nodes = cfg.nodes.max(1) as u64;
-    let mut events = Vec::with_capacity(cfg.events);
-    for i in 0..cfg.events {
-        let block = BlockAddr(zipf.sample(&mut rng));
-        let kind = rng.weighted_index(&[0.50, 0.45, 0.05]);
-        let event = match kind {
-            0 => ProtocolEvent::AccessFault {
-                block,
-                write: rng.chance(0.4),
-                token: i as u64,
-            },
-            1 => {
-                let src = rng.next_below(nodes) as usize;
-                let home = rng.next_below(nodes) as usize;
-                let value = rng.next_below(1 << 16);
-                let msg = match rng.next_below(10) {
-                    0 => Message::Req {
-                        request: Request::GetShared,
-                        requester: src,
-                        block,
-                    },
-                    1 => Message::Req {
-                        request: Request::GetExclusive,
-                        requester: src,
-                        block,
-                    },
-                    2 => Message::Invalidate { block, home },
-                    3 => Message::InvalAck { block, from: src },
-                    4 => Message::RecallShared { block, home },
-                    5 => Message::RecallExclusive { block, home },
-                    6 => Message::WritebackShared {
-                        block,
-                        from: src,
-                        value,
-                    },
-                    7 => Message::WritebackExclusive {
-                        block,
-                        from: src,
-                        value,
-                    },
-                    8 => Message::DataShared { block, value },
-                    _ => Message::DataExclusive { block, value },
-                };
-                ProtocolEvent::Incoming { src, msg }
-            }
-            _ => ProtocolEvent::PageOp {
-                page: PageAddr(rng.next_below(blocks / 16 + 1)),
-            },
-        };
-        events.push(event);
-    }
-    events
+    let rng = DetRng::stream(cfg.seed, EVENT_STREAM);
+    mixed_events(rng, cfg.events, cfg.blocks.max(1), cfg.nodes, |rng| {
+        zipf.sample(rng)
+    })
 }
 
 /// The seeded poison schedule: `true` at index `i` means the handler for the
@@ -671,6 +622,22 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
+    /// The report of a run of `scenario` that offered `frames_sent` frames
+    /// and ended with `aggregate`, with no hostile outcome counted yet.
+    fn new(scenario: Scenario, frames_sent: u64, aggregate: ServerAggregate) -> Self {
+        Self {
+            scenario: scenario.name(),
+            frames_sent,
+            handled: aggregate.events,
+            completed: aggregate.completed,
+            panicked: 0,
+            protocol_errors: 0,
+            io_errors: 0,
+            disconnects: 0,
+            aggregate,
+        }
+    }
+
     /// The report as a JSON document with a stable field order, so equal
     /// reports render byte-identically (CI diffs these files across
     /// executors, and the determinism tests across runs and worker counts).
@@ -694,18 +661,12 @@ impl ChaosReport {
     }
 }
 
-/// What the client expects the in-order ack for one event to say.
-#[derive(Debug, Clone, Copy)]
-enum Expect {
-    /// `ACK_DONE` carrying exactly this reply.
-    Done(Reply),
-    /// `ACK_PANICKED` (the event was poisoned).
-    Panic,
-}
-
-impl Expect {
-    fn for_event(event: &ProtocolEvent, poisoned: bool) -> Self {
-        if poisoned {
+/// The ack a chaos client expects for event `index`: `ACK_PANICKED` where
+/// `poison` marks the event, otherwise exactly the event's reply — a
+/// panicked ack where nothing was poisoned is a mismatch.
+fn expect_ack(poison: &[bool]) -> impl Fn(usize, &ProtocolEvent) -> Expect + '_ {
+    |index, event| {
+        if poison.get(index).copied().unwrap_or(false) {
             Expect::Panic
         } else {
             Expect::Done(Reply::for_event(event))
@@ -713,77 +674,72 @@ impl Expect {
     }
 }
 
-/// Reads and verifies one in-order ack against the front of `queue`.
-fn read_expected_ack(
-    transport: &mut dyn Transport,
-    queue: &mut VecDeque<Expect>,
-    panicked: &mut u64,
-) -> Result<(), ServerError> {
-    let frame = recv_frame(transport)?
-        .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-    let ack = decode_ack(&frame)?;
-    let want = queue
-        .pop_front()
-        .expect("an ack is only awaited for an outstanding request");
-    match (ack.status, want) {
-        (ACK_DONE, Expect::Done(reply)) if ack.reply == reply => Ok(()),
-        (ACK_PANICKED, Expect::Panic) => {
-            *panicked += 1;
-            Ok(())
-        }
-        (status, want) => Err(ServerError::Protocol(format!(
-            "ack mismatch: status {status}, reply {:?}, expected {want:?}",
-            ack.reply
-        ))),
-    }
-}
-
-/// Requests and decodes the aggregate (any outstanding acks must have been
-/// drained by the caller or be drained here via `queue`).
-fn fetch_aggregate(
-    transport: &mut dyn Transport,
-    queue: &mut VecDeque<Expect>,
-    panicked: &mut u64,
-) -> Result<ServerAggregate, ServerError> {
-    transport
-        .send(&encode_aggregate_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
-    while !queue.is_empty() {
-        read_expected_ack(transport, queue, panicked)?;
-    }
-    let frame = recv_frame(transport)?
-        .ok_or_else(|| ServerError::Protocol("server closed before the aggregate".into()))?;
-    decode_aggregate_reply(&frame)
-}
-
-/// Streams `events` with a sliding window of unanswered requests, verifying
-/// every ack, then fetches the aggregate. `poison[i]` marks events whose ack
-/// must be `ACK_PANICKED`. The client window is sized off the server's so
-/// the pipeline never deadlocks.
-fn windowed_run(
+/// Streams `events` in bursts of `burst` through the shared windowed client
+/// ([`run_window`]), verifying every ack, then fetches the aggregate.
+/// Returns the aggregate and the number of panicked acks.
+fn fetch_run(
     transport: &mut dyn Transport,
     events: &[ProtocolEvent],
     poison: &[bool],
-    server_window: usize,
+    window: usize,
+    burst: usize,
 ) -> Result<(ServerAggregate, u64), ServerError> {
-    let client_window = server_window * 2 + 8;
-    let mut queue: VecDeque<Expect> = VecDeque::with_capacity(client_window);
-    let mut panicked = 0u64;
-    for (i, event) in events.iter().enumerate() {
-        transport
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
-        queue.push_back(Expect::for_event(
-            event,
-            poison.get(i).copied().unwrap_or(false),
-        ));
-        if queue.len() >= client_window {
-            read_expected_ack(transport, &mut queue, &mut panicked)?;
-        }
+    let expect = expect_ack(poison);
+    let (report, aggregate) =
+        run_window(transport, events, expect, window, burst, Finish::Aggregate)?;
+    let aggregate = aggregate.expect("an aggregate run returns the aggregate");
+    Ok((aggregate, report.panicked))
+}
+
+/// Serves one loopback connection with reply window `window` on a scoped
+/// thread (behind a [`FaultTransport`] when `server_fault` is set) while
+/// `client` drives the other end on this thread. Returns both outcomes, so
+/// each side's error is charged to that side: the server's end is dropped
+/// when it returns, so a client send after the server died fails in the
+/// client, never in the server's result.
+fn over_loopback<T>(
+    service: &dyn ProtocolService,
+    window: usize,
+    server_fault: Option<FaultPlan>,
+    client: impl FnOnce(LoopbackTransport) -> Result<T, ServerError>,
+) -> (Result<u64, ServerError>, Result<T, ServerError>) {
+    let (client_end, server_end) = loopback_pair();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || {
+            // `FaultPlan::clean` is the identity wrapper.
+            let plan = server_fault.unwrap_or(FaultPlan::clean(0));
+            let mut server_end = FaultTransport::new(server_end, plan);
+            serve_durable(service, &mut server_end, window, Durability::Off)
+        });
+        let client = client(client_end);
+        (server.join().expect("server thread"), client)
+    })
+}
+
+/// Writes `blob` raw over a fresh TCP connection to a pool server (reply
+/// window `window`, one accepted connection) and hangs up. The server must
+/// tear the connection down with a typed [`ServerError::Protocol`];
+/// anything else fails the scenario, naming `what` was sent.
+fn hostile_tcp_blob(
+    service: &dyn ProtocolService,
+    window: usize,
+    blob: &[u8],
+    what: &str,
+) -> Result<(), ServerError> {
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
+    let addr = listener.local_addr().map_err(ServerError::Io)?;
+    let served = std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_pool(&listener, service, &PoolOptions::new(1, window)));
+        let sent = TcpStream::connect(addr).and_then(|mut stream| stream.write_all(blob));
+        sent.map_err(ServerError::Io)
+            .and(server.join().expect("server thread"))
+    });
+    match served {
+        Err(ServerError::Protocol(_)) => Ok(()),
+        other => Err(ServerError::Protocol(format!(
+            "{what} yielded {other:?} instead of a protocol error"
+        ))),
     }
-    let aggregate = fetch_aggregate(transport, &mut queue, &mut panicked)?;
-    Ok((aggregate, panicked))
 }
 
 /// Fails the scenario if the surviving aggregate does not equal the
@@ -824,94 +780,73 @@ fn expect_reference(
 /// not, an ack that does not verify, an aggregate that diverged from the
 /// reference, or a transport error outside the injected faults.
 pub fn run_chaos(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, ServerError> {
+    // The sliding-window client sizes its window off the server's, so the
+    // pipeline never deadlocks.
+    let sliding = cfg.window * 2 + 8;
     match cfg.scenario {
-        Scenario::Zipf => run_zipf(executor, cfg),
-        Scenario::Burst => run_burst(executor, cfg),
+        Scenario::Zipf => run_streamed(executor, cfg, &[], sliding, 1),
+        Scenario::Burst => run_streamed(executor, cfg, &[], cfg.window, cfg.burst),
         Scenario::Malformed => run_malformed(executor, cfg),
         Scenario::Disconnect => run_disconnect(executor, cfg),
-        Scenario::Panic => run_panic(executor, cfg),
+        Scenario::Panic => {
+            let poison = poison_schedule(cfg.seed, cfg.events, cfg.poison_rate);
+            run_streamed(executor, cfg, &poison, sliding, 1)
+        }
         Scenario::Recover => run_recover(executor, cfg),
     }
 }
 
-/// Zipfian hot-key skew through the well-behaved windowed client: the
-/// baseline adversarial load. Pins that extreme same-key contention loses
-/// nothing and reorders nothing observably.
-fn run_zipf(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, ServerError> {
+/// The scenarios that stream the whole event stream through the shared
+/// windowed client in bursts of `burst`, reading acks whenever `window` are
+/// unanswered, and verify the aggregate against the reference fold of the
+/// events `poison` leaves alone:
+///
+/// * **zipf** — Zipfian hot-key skew through the well-behaved sliding-window
+///   client (one frame per burst): the baseline adversarial load. Pins that
+///   extreme same-key contention loses nothing and reorders nothing
+///   observably.
+/// * **burst** — open-loop bursty arrivals: the client fires `cfg.burst`
+///   frames at a time without reading, then drains only the acks the server
+///   was *forced* to emit (the serve loop acks the oldest call exactly when
+///   its window fills, so a client window equal to the server's leaves
+///   `window - 1` unread). Pins the serve loop's bounded buffering: the
+///   flood lands in transport buffers, never in unbounded server state, and
+///   nothing is lost.
+/// * **panic** — poisoned events whose handlers panic at the seeded rate,
+///   under the full windowed load. Pins panic containment: poisoned events
+///   ack as `ACK_PANICKED` in order, and the aggregate equals the reference
+///   fold of exactly the non-poisoned events — no other key loses anything.
+fn run_streamed(
+    executor: &dyn Executor,
+    cfg: &ChaosConfig,
+    poison: &[bool],
+    window: usize,
+    burst: usize,
+) -> Result<ChaosReport, ServerError> {
     let events = adversarial_events(cfg);
-    let service = ChaosService::new(executor, cfg.blocks);
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &[], cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?
-    .0;
-    let reference = reference_aggregate(events.iter(), cfg.blocks);
+    let service = ChaosService::new(executor, cfg.blocks).with_poison(poison.to_vec());
+    let (served, client) = over_loopback(&service, cfg.window, None, |mut t| {
+        fetch_run(&mut t, &events, poison, window, burst)
+    });
+    served?;
+    let (aggregate, panicked) = client?;
+    let expected_panics = poison.iter().filter(|&&p| p).count() as u64;
+    if panicked != expected_panics {
+        return Err(ServerError::Protocol(format!(
+            "{}: {panicked} handlers panicked, poison schedule has {expected_panics}",
+            cfg.scenario.name()
+        )));
+    }
+    let survivors = events
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !poison.get(i).copied().unwrap_or(false))
+        .map(|(_, e)| e);
+    let reference = reference_aggregate(survivors, cfg.blocks);
     expect_reference(cfg.scenario, &aggregate, &reference)?;
     Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent: events.len() as u64 + 1,
-        handled: aggregate.events,
-        completed: aggregate.completed,
-        panicked: 0,
-        protocol_errors: 0,
-        io_errors: 0,
-        disconnects: 0,
-        aggregate,
-    })
-}
-
-/// Open-loop bursty arrivals: the client fires `cfg.burst` frames at a time
-/// without reading, then drains only the acks the server was *forced* to
-/// emit (the serve loop acks the oldest call exactly when its window fills).
-/// Pins the serve loop's bounded buffering: the flood lands in transport
-/// buffers, never in unbounded server state, and nothing is lost.
-fn run_burst(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, ServerError> {
-    let events = adversarial_events(cfg);
-    let service = ChaosService::new(executor, cfg.blocks);
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| -> Result<ServerAggregate, ServerError> {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let mut queue: VecDeque<Expect> = VecDeque::new();
-        let mut panicked = 0u64;
-        let mut sent = 0usize;
-        let mut read = 0usize;
-        for chunk in events.chunks(cfg.burst.max(1)) {
-            for event in chunk {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-                queue.push_back(Expect::for_event(event, false));
-            }
-            sent += chunk.len();
-            // Off phase: the server has been forced to ack everything beyond
-            // window - 1 outstanding; drain exactly that many (blocking).
-            let forced = sent.saturating_sub(cfg.window - 1);
-            while read < forced {
-                read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
-                read += 1;
-            }
-        }
-        let aggregate = fetch_aggregate(&mut client_end, &mut queue, &mut panicked)?;
-        drop(client_end);
-        server.join().expect("server thread")?;
-        Ok(aggregate)
-    })?;
-    let reference = reference_aggregate(events.iter(), cfg.blocks);
-    expect_reference(cfg.scenario, &aggregate, &reference)?;
-    Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent: events.len() as u64 + 1,
-        handled: aggregate.events,
-        completed: aggregate.completed,
-        panicked: 0,
-        protocol_errors: 0,
-        io_errors: 0,
-        disconnects: 0,
-        aggregate,
+        panicked,
+        ..ChaosReport::new(cfg.scenario, events.len() as u64 + 1, aggregate)
     })
 }
 
@@ -992,86 +927,109 @@ fn run_malformed(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRepo
             }
         }
     }
-    {
-        let (client_end, mut server_end) = loopback_pair();
-        let outcome = std::thread::scope(|scope| {
-            // A window larger than the stream: the server never acks
-            // mid-stream, so the faulted client needs no ack protocol.
-            let server = scope.spawn(|| serve(&service, &mut server_end, events.len() + 2));
-            let mut faulted = FaultTransport::new(client_end, plan);
-            for frame in &events {
-                // The server tears the connection down at the first bad
-                // frame; later sends may fail against the dropped endpoint.
-                if faulted.send(&encode_event_request(frame)).is_err() {
-                    break;
-                }
-                frames_sent += 1;
-            }
-            drop(faulted);
-            server.join().expect("server thread")
-        });
-        match (expect_error, outcome) {
-            (true, Err(ServerError::Protocol(_))) => protocol_errors += 1,
-            (false, Ok(_)) => {}
-            (want_err, other) => {
-                return Err(ServerError::Protocol(format!(
-                    "malformed: faulted stream outcome {other:?} (expected error: {want_err})"
-                )))
-            }
+    // A window larger than the stream: the server never acks mid-stream, so
+    // the faulted client reads nothing. The server tears the connection down
+    // at the first bad frame; the client still offers (and counts) every
+    // frame.
+    let (served, client) = over_loopback(&service, events.len() + 2, None, |t| {
+        let mut faulted = FaultTransport::new(t, plan);
+        let expect = expect_ack(&[]);
+        run_window(
+            &mut faulted,
+            &events,
+            expect,
+            usize::MAX,
+            usize::MAX,
+            Finish::Vanish,
+        )
+    });
+    frames_sent += client?.0.sent;
+    match (expect_error, served) {
+        (true, Err(ServerError::Protocol(_))) => protocol_errors += 1,
+        (false, Ok(_)) => {}
+        (want_err, other) => {
+            return Err(ServerError::Protocol(format!(
+                "malformed: faulted stream outcome {other:?} (expected error: {want_err})"
+            )))
         }
     }
 
     // Phase B — raw hostile byte blobs over real TCP connections. Every one
     // must surface as a typed protocol violation, never a panic or a hang.
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
-    let addr = listener.local_addr().map_err(ServerError::Io)?;
     for (label, blob) in hostile_wire_blobs() {
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, cfg.window));
-            let mut stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-            use std::io::Write;
-            stream.write_all(&blob).map_err(ServerError::Io)?;
-            drop(stream);
-            server.join().expect("server thread")
-        });
         frames_sent += 1;
-        match outcome {
-            Err(ServerError::Protocol(_)) => protocol_errors += 1,
-            other => {
-                return Err(ServerError::Protocol(format!(
-                    "malformed: hostile blob `{label}` yielded {other:?} instead of a \
-                     protocol error"
-                )))
-            }
-        }
+        hostile_tcp_blob(
+            &service,
+            cfg.window,
+            &blob,
+            &format!("malformed: blob `{label}`"),
+        )?;
+        protocol_errors += 1;
     }
 
     // Phase C — clean reconnect: the full event stream through a
     // well-behaved windowed client. The aggregate must account for the
     // faulted phase's decodable prefix plus this clean stream, exactly.
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &[], cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?
-    .0;
+    let (served, client) = over_loopback(&service, cfg.window, None, |mut t| {
+        fetch_run(&mut t, &events, &[], cfg.window * 2 + 8, 1)
+    });
+    served?;
+    let (aggregate, _) = client?;
     frames_sent += events.len() as u64 + 1;
     let reference = reference_aggregate(dispatched.iter().chain(events.iter()), cfg.blocks);
     expect_reference(cfg.scenario, &aggregate, &reference)?;
     Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent,
-        handled: aggregate.events,
-        completed: aggregate.completed,
-        panicked: 0,
         protocol_errors,
-        io_errors: 0,
-        disconnects: 0,
-        aggregate,
+        ..ChaosReport::new(cfg.scenario, frames_sent, aggregate)
     })
+}
+
+/// Acks the disconnect scenario's injected close lets escape: the server's
+/// transport closes on its third send, after two acks.
+const ESCAPED_ACKS: u64 = 2;
+
+/// Sub-case 1 of the disconnect scenario: floods `flood` at a server whose
+/// sending side closes abruptly after [`ESCAPED_ACKS`] acks. The flood may
+/// still be arriving when the server dies, so the client keeps offering every
+/// frame, reads the acks that escaped until the server closes, and verifies
+/// them. `wrap` wraps the client's end of the connection (the identity in
+/// the scenario). Returns the frames the client offered.
+fn flood_into_injected_close<T: Transport>(
+    service: &dyn ProtocolService,
+    flood: &[ProtocolEvent],
+    window: usize,
+    seed: u64,
+    wrap: impl FnOnce(LoopbackTransport) -> T,
+) -> Result<u64, ServerError> {
+    let plan = FaultPlan {
+        close_after_sends: Some(ESCAPED_ACKS),
+        ..FaultPlan::clean(seed)
+    };
+    let (served, client) = over_loopback(service, window, Some(plan), |t| {
+        let mut client_end = wrap(t);
+        let expect = expect_ack(&[]);
+        run_window(
+            &mut client_end,
+            flood,
+            expect,
+            usize::MAX,
+            usize::MAX,
+            Finish::Close,
+        )
+    });
+    let (report, _) = client?;
+    if report.acked != ESCAPED_ACKS {
+        return Err(ServerError::Protocol(format!(
+            "disconnect: {} acks escaped the injected close, expected {ESCAPED_ACKS}",
+            report.acked
+        )));
+    }
+    match served {
+        Err(ServerError::Io(_)) => Ok(report.sent),
+        other => Err(ServerError::Protocol(format!(
+            "disconnect: injected close yielded {other:?} instead of an I/O error"
+        ))),
+    }
 }
 
 /// Mid-stream client disconnects plus injected transport failures on the
@@ -1085,7 +1043,6 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
     let mut frames_sent = 0u64;
     let mut disconnects = 0u64;
     let mut protocol_errors = 0u64;
-    let mut io_errors = 0u64;
 
     // Partition the stream: a flood segment for the injected-close
     // connection, a tail for the ack-then-drop connection, and the rest for
@@ -1095,146 +1052,44 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
     let tail_len = (w + 5).min(rest.len());
     let (tail, dropped) = rest.split_at(tail_len);
 
-    // Sub-case 1 — abrupt close injected on the server's sending side: the
-    // FaultTransport lets two acks out, then fails the third send. The
+    // Sub-case 1 — abrupt close injected on the server's sending side. The
     // server dispatches exactly window + 2 events before the failure (one
     // new frame per ack after the window first fills).
-    let close_after = 2u64;
-    let expected_flood_dispatch = (w + close_after as usize).min(flood.len());
-    {
-        let (mut client_end, server_end) = loopback_pair();
-        let plan = FaultPlan {
-            close_after_sends: Some(close_after),
-            ..FaultPlan::clean(cfg.seed)
-        };
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| {
-                let mut faulted = FaultTransport::new(server_end, plan);
-                serve(&service, &mut faulted, w)
-            });
-            for event in flood {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-            }
-            frames_sent += flood.len() as u64;
-            // The two acks that escaped before the close must still verify.
-            let mut queue: VecDeque<Expect> =
-                flood.iter().map(|e| Expect::for_event(e, false)).collect();
-            let mut panicked = 0u64;
-            for _ in 0..close_after {
-                read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
-            }
-            // The server died mid-connection; the client sees a close.
-            match client_end.recv() {
-                Ok(None) => {}
-                other => {
-                    return Err(ServerError::Protocol(format!(
-                        "disconnect: expected the faulted server to close, got {other:?}"
-                    )))
-                }
-            }
-            server.join().expect("server thread")
-        });
-        match outcome {
-            Err(ServerError::Io(_)) => io_errors += 1,
-            other => {
-                return Err(ServerError::Protocol(format!(
-                    "disconnect: injected close yielded {other:?} instead of an I/O error"
-                )))
-            }
-        }
-    }
+    let expected_flood_dispatch = (w + ESCAPED_ACKS as usize).min(flood.len());
+    frames_sent += flood_into_injected_close(&service, flood, w, cfg.seed, |t| t)?;
 
-    // Sub-case 2 — ack-then-drop: the client streams the tail, blocks until
-    // it has read every ack the server was forced to emit (so the server
-    // has consumed the whole tail), then vanishes without draining the
-    // window. The abandoned in-flight replies must still execute.
-    {
-        let (mut client_end, mut server_end) = loopback_pair();
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve(&service, &mut server_end, w));
-            let mut queue: VecDeque<Expect> = VecDeque::new();
-            let mut panicked = 0u64;
-            for event in tail {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-                queue.push_back(Expect::for_event(event, false));
-            }
-            frames_sent += tail.len() as u64;
-            let forced = tail.len().saturating_sub(w - 1);
-            for _ in 0..forced {
-                read_expected_ack(&mut client_end, &mut queue, &mut panicked)?;
-            }
-            drop(client_end);
-            server.join().expect("server thread")
-        });
-        match outcome {
-            Ok(_) => disconnects += 1,
-            Err(e) => return Err(e),
-        }
-    }
-
+    // Sub-case 2 — ack-then-drop: the client streams the tail as one burst,
+    // blocks until it has read every ack the server was forced to emit (so
+    // the server has consumed the whole tail), then vanishes without
+    // draining the window. The abandoned in-flight replies must still
+    // execute.
+    //
     // Sub-case 3 — send-and-vanish: each connection streams fewer frames
     // than the window (so no ack is ever due) and drops. The server sees a
     // clean EOF with the whole slice in flight and abandons the replies.
-    for chunk in dropped.chunks(w - 1) {
-        let (mut client_end, mut server_end) = loopback_pair();
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve(&service, &mut server_end, w));
-            for event in chunk {
-                client_end
-                    .send(&encode_event_request(event))
-                    .map_err(ServerError::Io)?;
-            }
-            frames_sent += chunk.len() as u64;
-            drop(client_end);
-            server.join().expect("server thread")
+    for slice in std::iter::once(tail).chain(dropped.chunks(w - 1)) {
+        let (served, client) = over_loopback(&service, w, None, |mut t| {
+            let expect = expect_ack(&[]);
+            run_window(&mut t, slice, expect, w, slice.len(), Finish::Vanish)
         });
-        match outcome {
-            Ok(_) => disconnects += 1,
-            Err(e) => return Err(e),
-        }
+        served?;
+        frames_sent += client?.0.sent;
+        disconnects += 1;
     }
 
     // Sub-case 4 — mid-frame TCP disconnect: two bytes of a length prefix,
     // then gone. A typed protocol violation, zero events dispatched.
-    {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
-        let addr = listener.local_addr().map_err(ServerError::Io)?;
-        let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, w));
-            let mut stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-            use std::io::Write;
-            stream.write_all(&[0x08, 0x00]).map_err(ServerError::Io)?;
-            drop(stream);
-            server.join().expect("server thread")
-        });
-        frames_sent += 1;
-        match outcome {
-            Err(ServerError::Protocol(_)) => protocol_errors += 1,
-            other => {
-                return Err(ServerError::Protocol(format!(
-                    "disconnect: mid-frame close yielded {other:?} instead of a protocol error"
-                )))
-            }
-        }
-    }
+    frames_sent += 1;
+    hostile_tcp_blob(&service, w, &[0x08, 0x00], "disconnect: mid-frame close")?;
+    protocol_errors += 1;
 
     // Final connection — nothing but an aggregate request. Its serve path
     // flushes the service first, so every abandoned in-flight handler from
     // the connections above has completed before the fold is read.
-    let (mut client_end, mut server_end) = loopback_pair();
-    let aggregate = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, w));
-        let mut queue = VecDeque::new();
-        let mut panicked = 0u64;
-        let outcome = fetch_aggregate(&mut client_end, &mut queue, &mut panicked);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?;
+    let (served, client) =
+        over_loopback(&service, w, None, |mut t| fetch_run(&mut t, &[], &[], w, 1));
+    served?;
+    let (aggregate, _) = client?;
     frames_sent += 1;
     let reference = reference_aggregate(
         flood[..expected_flood_dispatch]
@@ -1245,57 +1100,10 @@ fn run_disconnect(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosRep
     );
     expect_reference(cfg.scenario, &aggregate, &reference)?;
     Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent,
-        handled: aggregate.events,
-        completed: aggregate.completed,
-        panicked: 0,
         protocol_errors,
-        io_errors,
+        io_errors: 1,
         disconnects,
-        aggregate,
-    })
-}
-
-/// Poisoned events whose handlers panic at the seeded rate, under the full
-/// windowed load. Pins panic containment: poisoned events ack as
-/// `ACK_PANICKED` in order, and the aggregate equals the reference fold of
-/// exactly the non-poisoned events — no other key loses anything.
-fn run_panic(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport, ServerError> {
-    let events = adversarial_events(cfg);
-    let poison = poison_schedule(cfg.seed, events.len(), cfg.poison_rate);
-    let service = ChaosService::new(executor, cfg.blocks).with_poison(poison.clone());
-    let (mut client_end, mut server_end) = loopback_pair();
-    let (aggregate, panicked) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(&service, &mut server_end, cfg.window));
-        let outcome = windowed_run(&mut client_end, &events, &poison, cfg.window);
-        drop(client_end);
-        server.join().expect("server thread")?;
-        outcome
-    })?;
-    let expected_panics = poison.iter().filter(|&&p| p).count() as u64;
-    if panicked != expected_panics {
-        return Err(ServerError::Protocol(format!(
-            "panic: {panicked} handlers panicked, poison schedule has {expected_panics}"
-        )));
-    }
-    let survivors = events
-        .iter()
-        .zip(poison.iter())
-        .filter(|(_, &p)| !p)
-        .map(|(e, _)| e);
-    let reference = reference_aggregate(survivors, cfg.blocks);
-    expect_reference(cfg.scenario, &aggregate, &reference)?;
-    Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent: events.len() as u64 + 1,
-        handled: aggregate.events,
-        completed: aggregate.completed,
-        panicked,
-        protocol_errors: 0,
-        io_errors: 0,
-        disconnects: 0,
-        aggregate,
+        ..ChaosReport::new(cfg.scenario, frames_sent, aggregate)
     })
 }
 
@@ -1319,11 +1127,14 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
     // force replies even when the stream is shorter than the reply window,
     // so the close always fires.
     let (mut client_end, server_end) = loopback_pair();
-    for event in &events {
-        client_end
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
-    }
+    let mut client = Client::new(Finish::Close, false);
+    client.stream(
+        &mut client_end,
+        &events,
+        expect_ack(&[]),
+        usize::MAX,
+        usize::MAX,
+    )?;
     for _ in 0..3 {
         client_end
             .send(&encode_aggregate_request())
@@ -1354,36 +1165,10 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
             )))
         }
     }
-    // The replies that escaped before the close (at most two) must still
-    // verify in order; anything owed after them died with the server.
-    let mut queue: VecDeque<Expect> = events.iter().map(|e| Expect::for_event(e, false)).collect();
-    loop {
-        match client_end.recv() {
-            Ok(Some(frame)) => {
-                if let Ok(ack) = decode_ack(&frame) {
-                    let want = queue.pop_front().ok_or_else(|| {
-                        ServerError::Protocol("recover: more acks than events".into())
-                    })?;
-                    match (ack.status, want) {
-                        (ACK_DONE, Expect::Done(reply)) if ack.reply == reply => {}
-                        (status, want) => {
-                            return Err(ServerError::Protocol(format!(
-                                "recover: escaped ack mismatch: status {status}, reply {:?}, \
-                                 expected {want:?}",
-                                ack.reply
-                            )))
-                        }
-                    }
-                } else {
-                    // A short stream drains its acks at the first aggregate
-                    // request, so an aggregate reply may escape instead.
-                    decode_aggregate_reply(&frame)?;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => return Err(ServerError::Io(e)),
-        }
-    }
+    // The replies that escaped before the close (at most two, possibly an
+    // aggregate reply when the stream is short) must still verify in order;
+    // anything owed after them died with the server.
+    client.finish(&mut client_end)?;
 
     // Cut the image at a seeded byte inside the unsynced tail: never behind
     // the last sync point (everything up to it is durable), possibly in the
@@ -1420,15 +1205,8 @@ fn run_recover(executor: &dyn Executor, cfg: &ChaosConfig) -> Result<ChaosReport
     let reference = reference_aggregate(prefix.iter(), cfg.blocks);
     expect_reference(cfg.scenario, &recovered, &reference)?;
     Ok(ChaosReport {
-        scenario: cfg.scenario.name(),
-        frames_sent,
-        handled: recovered.events,
-        completed: recovered.completed,
-        panicked: 0,
-        protocol_errors: 0,
         io_errors: 1,
-        disconnects: 0,
-        aggregate: recovered,
+        ..ChaosReport::new(cfg.scenario, frames_sent, recovered)
     })
 }
 
@@ -1501,6 +1279,61 @@ mod tests {
         assert_eq!(t.send(b"x").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(t.recv().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(t.flush().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// A client end that, before its `stall_at`-th send, reads everything
+    /// the server sends until the server closes (buffering it for later
+    /// `recv`s) — so the rest of the flood is offered to a dead peer.
+    struct StallUntilClosed {
+        inner: LoopbackTransport,
+        stall_at: u64,
+        sends: u64,
+        buffered: std::collections::VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for StallUntilClosed {
+        fn send(&mut self, payload: &[u8]) -> io::Result<()> {
+            if self.sends == self.stall_at {
+                while let Some(frame) = self.inner.recv()? {
+                    self.buffered.push_back(frame);
+                }
+            }
+            self.sends += 1;
+            self.inner.send(payload)
+        }
+
+        fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+            match self.buffered.pop_front() {
+                Some(frame) => Ok(Some(frame)),
+                None => self.inner.recv(),
+            }
+        }
+    }
+
+    /// The disconnect scenario's injected close, with the server forced to
+    /// die before the flood is finished: the client's failing sends are its
+    /// own, every frame still counts, and the two escaped acks still verify.
+    #[test]
+    fn injected_close_before_the_flood_ends_is_counted_deterministically() {
+        let cfg = ChaosConfig::quick(Scenario::Disconnect);
+        let events = adversarial_events(&cfg);
+        let w = cfg.window;
+        let flood = &events[..w + 10];
+        let pool = build_executor("pdq", &ExecutorSpec::new(2).capacity(64)).expect("builds");
+        let service = ChaosService::new(&*pool, cfg.blocks);
+        // The server dies once it has read w + 2 frames and sent two acks.
+        let stall_at = (w + ESCAPED_ACKS as usize) as u64;
+        let sent =
+            flood_into_injected_close(&service, flood, w, cfg.seed, |inner| StallUntilClosed {
+                inner,
+                stall_at,
+                sends: 0,
+                buffered: std::collections::VecDeque::new(),
+            })
+            .expect("the injected close is the server's I/O error");
+        assert_eq!(sent, flood.len() as u64);
+        service.flush();
+        assert_eq!(service.calls(), stall_at);
     }
 
     #[test]

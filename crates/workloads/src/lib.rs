@@ -43,13 +43,13 @@ pub use protocol_server::{
     ServerState,
 };
 pub use server::{
-    client_config, merged_reference_aggregate, pool_wal_dir, serve_poll, serve_poll_observed,
-    serve_pool, serve_pool_observed, PollOptions, PollReport, PoolOptions, PoolReport, PoolWal,
+    client_config, connect_tcp_clients, merged_reference_aggregate, pool_wal_dir, pool_wal_dirs,
+    run_tcp_clients, serve_poll, serve_poll_observed, serve_pool, serve_pool_observed, PollOptions,
+    PollReport, PoolOptions, PoolReport, PoolWal,
 };
 pub use service::{
-    run_client, run_client_events, run_metrics_probe, serve, serve_durable, serve_observed,
-    serve_tcp_once, BatchService, ClientReport, Durability, ExecutorService, ProtocolService,
-    Reply,
+    run_client_events, run_metrics_probe, serve_durable, serve_observed, BatchService,
+    ClientReport, Durability, ExecutorService, ProtocolService, Reply,
 };
 pub use trace::{Action, Topology, Workload, WorkloadScale};
 pub use transport::{

@@ -28,7 +28,8 @@ use pdq_sim::DetRng;
 /// Why a protocol-server run could not produce an aggregate.
 ///
 /// Shared by the in-process driver ([`run_server`]) and the transport-backed
-/// service layer ([`serve`](crate::serve) / [`run_client`](crate::run_client)).
+/// service layer ([`serve_durable`](crate::serve_durable) /
+/// [`run_client_events`](crate::run_client_events)).
 #[derive(Debug)]
 pub enum ServerError {
     /// The executor shut down while events were still in flight, so part of
@@ -134,17 +135,34 @@ impl Default for ServerConfig {
 /// references land on a hot eighth of the blocks, so same-key conflicts are
 /// frequent — the regime where dispatch-time synchronization matters.
 pub fn generate_events(cfg: &ServerConfig) -> Vec<ProtocolEvent> {
-    let mut rng = DetRng::stream(cfg.seed, 0x70c0_5e1f);
     let blocks = cfg.blocks.max(1);
     let hot = (blocks / 8).max(1);
-    let nodes = cfg.nodes.max(1) as u64;
-    let mut events = Vec::with_capacity(cfg.events);
-    for i in 0..cfg.events {
-        let block = BlockAddr(if rng.chance(0.7) {
+    let rng = DetRng::stream(cfg.seed, 0x70c0_5e1f);
+    mixed_events(rng, cfg.events, blocks, cfg.nodes, |rng| {
+        if rng.chance(0.7) {
             rng.next_below(hot)
         } else {
             rng.next_below(blocks)
-        });
+        }
+    })
+}
+
+/// The event-kind mix every generated stream shares: half access faults,
+/// most of the rest incoming coherence messages of every kind from `nodes`
+/// nodes, and an occasional `Sequential`-keyed page operation over the pages
+/// of `blocks` blocks. `block` draws each event's block reference from `rng`
+/// before the rest of the event is drawn.
+pub(crate) fn mixed_events(
+    mut rng: DetRng,
+    events: usize,
+    blocks: u64,
+    nodes: usize,
+    mut block: impl FnMut(&mut DetRng) -> u64,
+) -> Vec<ProtocolEvent> {
+    let nodes = nodes.max(1) as u64;
+    let mut out = Vec::with_capacity(events);
+    for i in 0..events {
+        let block = BlockAddr(block(&mut rng));
         let kind = rng.weighted_index(&[0.50, 0.45, 0.05]);
         let event = match kind {
             0 => ProtocolEvent::AccessFault {
@@ -190,9 +208,9 @@ pub fn generate_events(cfg: &ServerConfig) -> Vec<ProtocolEvent> {
                 page: PageAddr(rng.next_below(blocks / 16 + 1)),
             },
         };
-        events.push(event);
+        out.push(event);
     }
-    events
+    out
 }
 
 /// Per-block server counters, protected by the block's synchronization key:

@@ -1,9 +1,7 @@
 //! Multi-connection protocol server: the network edge of the PDQ pipeline.
 //!
-//! The paper's point is parallelizing fine-grain protocol *dispatch* — and
-//! the executor side of this repo is lock-free — but
-//! [`serve_tcp_once`](crate::serve_tcp_once) accepts exactly one client.
-//! This module turns the protocol service into a real network server in two
+//! The paper's point is parallelizing fine-grain protocol *dispatch*; this
+//! module turns the protocol service into a real network server in two
 //! tiers:
 //!
 //! * [`serve_pool`] — **thread-per-connection pool**. Every accepted
@@ -49,12 +47,13 @@
 //! concatenated per-client streams, whatever the executor, tier, or
 //! interleaving. [`client_config`] derives per-client seeds via
 //! `DetRng::stream`, and [`merged_reference_aggregate`] is the sequential
-//! fold the drivers compare against.
+//! fold the drivers compare against, and [`connect_tcp_clients`] with
+//! [`run_tcp_clients`] is the matching multi-client TCP driver.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -63,10 +62,11 @@ use pdq_core::executor::{JobError, SubmitBatch, TypedHandle};
 use pdq_sim::DetRng;
 
 use crate::metrics::{ConnObs, Observability};
-use crate::protocol_server::{ServerAggregate, ServerConfig, ServerError};
+use crate::protocol_server::{generate_events, ServerAggregate, ServerConfig, ServerError};
 use crate::service::{
-    decode_request, encode_ack, encode_aggregate_reply, encode_metrics_reply, serve_observed, Ack,
-    BatchService, Durability, ProtocolService, Reply, WireRequest, ACK_DONE, ACK_PANICKED,
+    decode_request, encode_ack, encode_aggregate_reply, encode_metrics_reply, run_client_events,
+    serve_observed, Ack, BatchService, ClientReport, Durability, ProtocolService, Reply,
+    WireRequest, ACK_DONE, ACK_PANICKED,
 };
 use crate::transport::{FrameDecoder, FrameEncoder, TcpTransport};
 use crate::wal::WalWriter;
@@ -107,7 +107,8 @@ pub struct PoolWal {
 pub struct PoolOptions {
     /// The server reply window each connection's serve loop runs with
     /// (clients must drive a strictly larger window, as with
-    /// [`serve`](crate::serve)).
+    /// [`serve_durable`](crate::serve_durable)). One accepted connection
+    /// with this window is the single-connection TCP server.
     pub window: usize,
     /// How many connections to accept before the server stops accepting and
     /// waits for the accepted ones to finish.
@@ -137,11 +138,35 @@ pub struct PoolReport {
     pub answered: u64,
 }
 
+/// Name prefix of the per-connection WAL directories.
+const POOL_WAL_PREFIX: &str = "conn-";
+
 /// The WAL directory [`serve_pool`] uses for connection `index` under
 /// `root` — `root/conn-NNNN`. Recovery tooling lists these to replay each
 /// connection's log.
-pub fn pool_wal_dir(root: &std::path::Path, index: usize) -> PathBuf {
-    root.join(format!("conn-{index:04}"))
+pub fn pool_wal_dir(root: &Path, index: usize) -> PathBuf {
+    root.join(format!("{POOL_WAL_PREFIX}{index:04}"))
+}
+
+/// The per-connection WAL directories ([`pool_wal_dir`]) present under
+/// `root`, in connection order; empty when there are none (or `root` cannot
+/// be read), e.g. when `root` itself holds a single log.
+pub fn pool_wal_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
+        .into_iter()
+        .flatten()
+        .filter_map(Result::ok)
+        .filter(|entry| {
+            entry
+                .file_name()
+                .to_string_lossy()
+                .starts_with(POOL_WAL_PREFIX)
+        })
+        .map(|entry| entry.path())
+        .filter(|path| path.is_dir())
+        .collect();
+    dirs.sort();
+    dirs
 }
 
 fn serve_pool_conn(
@@ -157,44 +182,35 @@ fn serve_pool_conn(
     if let Some(conn) = &conn {
         conn.opened();
     }
-    let served = match &opts.wal {
-        None => serve_observed(
-            service,
-            &mut transport,
-            opts.window,
-            Durability::Off,
-            conn.as_ref(),
-        ),
+    let mut wal = match &opts.wal {
+        None => None,
         Some(w) => {
-            let dir = pool_wal_dir(&w.root, index);
-            let mut wal = WalWriter::create(&dir, w.blocks).map_err(ServerError::Io)?;
+            let mut wal = WalWriter::create(&pool_wal_dir(&w.root, index), w.blocks)
+                .map_err(ServerError::Io)?;
             if let Some(n) = w.crash_after {
                 wal.arm_crash_after_events(n);
             }
             if let Some(o) = obs {
                 wal.set_metrics(o.wal_metrics(index as u64));
             }
-            let durability = if w.snapshot_every > 0 {
-                Durability::LogSnapshot {
-                    wal: &mut wal,
-                    sync_every: w.sync_every,
-                    snapshot_every: w.snapshot_every,
-                }
-            } else {
-                Durability::Log {
-                    wal: &mut wal,
-                    sync_every: w.sync_every,
-                }
-            };
-            serve_observed(
-                service,
-                &mut transport,
-                opts.window,
-                durability,
-                conn.as_ref(),
-            )
+            Some((wal, w))
         }
     };
+    let durability = match &mut wal {
+        None => Durability::Off,
+        Some((wal, w)) => Durability::LogSnapshot {
+            wal,
+            sync_every: w.sync_every,
+            snapshot_every: w.snapshot_every,
+        },
+    };
+    let served = serve_observed(
+        service,
+        &mut transport,
+        opts.window,
+        durability,
+        conn.as_ref(),
+    );
     if let Some(conn) = &conn {
         conn.closed(*served.as_ref().unwrap_or(&0));
     }
@@ -214,7 +230,7 @@ fn serve_pool_conn(
 /// after this returns (`service.flush()` + `service.aggregate(..)`) — a
 /// per-connection aggregate snapshot of shared state would be racy, which is
 /// why multi-client clients end with a drain request
-/// ([`run_client_events`](crate::run_client_events)) instead of an aggregate
+/// ([`run_client_events`]) instead of an aggregate
 /// request.
 ///
 /// # Errors
@@ -783,32 +799,109 @@ pub fn client_config(base: &ServerConfig, client: u64) -> ServerConfig {
 pub fn merged_reference_aggregate(base: &ServerConfig, clients: u64) -> ServerAggregate {
     let mut events = Vec::with_capacity(base.events * clients.max(1) as usize);
     for client in 0..clients.max(1) {
-        events.extend(crate::protocol_server::generate_events(&client_config(
-            base, client,
-        )));
+        events.extend(generate_events(&client_config(base, client)));
     }
     crate::protocol_server::reference_aggregate(&events, base.blocks)
+}
+
+/// Connects `clients` TCP clients to the server at `addr`, in client order
+/// (so a pool server accepts client `c` as connection `c`), each with
+/// `TCP_NODELAY` set. The listener's backlog holds the connections, so
+/// calling this before the server starts accepting makes a connect failure
+/// an error instead of a server blocked in `accept()` — for as many clients
+/// as that backlog holds.
+///
+/// # Errors
+///
+/// [`ServerError::Io`] if connecting or configuring a socket fails: a socket
+/// the client could not configure would silently run with different latency
+/// behaviour.
+pub fn connect_tcp_clients(
+    addr: SocketAddr,
+    clients: u64,
+) -> Result<Vec<TcpTransport>, ServerError> {
+    (0..clients)
+        .map(|_| {
+            let stream = TcpStream::connect(addr)?;
+            stream.set_nodelay(true)?;
+            TcpTransport::new(stream)
+        })
+        .collect::<io::Result<Vec<_>>>()
+        .map_err(ServerError::Io)
+}
+
+/// Runs one client per connected transport ([`connect_tcp_clients`]),
+/// concurrently: client `c` streams the events of
+/// [`client_config`]`(base, c)` through [`run_client_events`] with client
+/// window `window`. Returns each client's own result, in client order, once
+/// all of them have finished.
+pub fn run_tcp_clients(
+    transports: Vec<TcpTransport>,
+    base: &ServerConfig,
+    window: usize,
+    record_latency: bool,
+) -> Vec<Result<ClientReport, ServerError>> {
+    std::thread::scope(|scope| {
+        let running: Vec<_> = (0..)
+            .zip(transports)
+            .map(|(client, mut transport)| {
+                scope.spawn(move || {
+                    let events = generate_events(&client_config(base, client));
+                    run_client_events(&mut transport, &events, window, record_latency)
+                })
+            })
+            .collect();
+        running
+            .into_iter()
+            .map(|client| client.join().expect("client thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol_server::generate_events;
-    use crate::service::{run_client, run_client_events};
-    use crate::transport::TcpTransport;
+    use crate::service::wire_aggregate;
     use pdq_core::executor::{build_executor, ExecutorSpec, TypedFuture, EXECUTOR_NAMES};
     use pdq_core::ShutdownError;
     use std::sync::atomic::AtomicUsize;
 
-    fn tcp_client(
-        addr: std::net::SocketAddr,
-        events: &[pdq_dsm::ProtocolEvent],
+    /// Connects `clients` TCP clients streaming `base` (client window
+    /// `window`), serves them with `serve` on a fresh listener, and returns
+    /// the server's report with every client's.
+    fn serve_clients<R: Send>(
+        base: &ServerConfig,
+        clients: u64,
         window: usize,
-    ) -> Result<crate::ClientReport, ServerError> {
-        let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-        stream.set_nodelay(true).map_err(ServerError::Io)?;
-        let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-        run_client_events(&mut transport, events, window, false)
+        serve: impl FnOnce(&TcpListener) -> Result<R, ServerError> + Send,
+    ) -> (R, Vec<ClientReport>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let transports = connect_tcp_clients(addr, clients).expect("connect");
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve(&listener));
+            let reports = run_tcp_clients(transports, base, window, false)
+                .into_iter()
+                .map(|r| r.expect("client ok"))
+                .collect();
+            (
+                server.join().expect("server thread").expect("server ok"),
+                reports,
+            )
+        })
+    }
+
+    /// A refused connect is an error from the connect step, which runs
+    /// before any server is blocked in `accept()` waiting for it.
+    #[test]
+    fn connect_failure_is_an_error_not_a_hang() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        drop(listener);
+        assert!(matches!(
+            connect_tcp_clients(addr, 2),
+            Err(ServerError::Io(_))
+        ));
     }
 
     /// N pool clients over one shared executor merge to the sequential
@@ -822,29 +915,11 @@ mod tests {
             let executor = build_executor(name, &ExecutorSpec::new(2).capacity(64))
                 .expect("registry executor");
             let service = crate::ExecutorService::new(executor.as_ref(), base.blocks);
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("local addr");
-            let report = std::thread::scope(|scope| {
-                let service = &service;
-                let server =
-                    scope.spawn(move || serve_pool(&listener, service, &PoolOptions::new(4, 8)));
-                let mut acked = 0u64;
-                let mut clients_joined = Vec::new();
-                for client in 0..clients {
-                    let events = generate_events(&client_config(&base, client));
-                    clients_joined.push(scope.spawn(move || tcp_client(addr, &events, 16)));
-                }
-                for handle in clients_joined {
-                    acked += handle
-                        .join()
-                        .expect("client thread")
-                        .expect("client ok")
-                        .acked;
-                }
-                let report = server.join().expect("server thread").expect("server ok");
-                assert_eq!(report.answered, acked);
-                report
+            let (report, clients_done) = serve_clients(&base, clients, 16, |listener| {
+                serve_pool(listener, &service, &PoolOptions::new(4, 8))
             });
+            let acked: u64 = clients_done.iter().map(|r| r.acked).sum();
+            assert_eq!(report.answered, acked);
             assert_eq!(report.connections, clients);
             service.flush();
             let merged = service.aggregate(report.answered);
@@ -852,8 +927,8 @@ mod tests {
         }
     }
 
-    /// A single poll-tier connection answers `run_client` exactly like the
-    /// blocking `serve` loop: same acks, same aggregate.
+    /// A single poll-tier connection answers the windowed client exactly
+    /// like the blocking serve loop: same acks, same aggregate.
     #[test]
     fn poll_single_connection_matches_blocking_serve() {
         let cfg = ServerConfig::quick().events(500);
@@ -870,7 +945,7 @@ mod tests {
                 let client = scope.spawn(move || {
                     let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
                     let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-                    run_client(&mut transport, &cfg, 16)
+                    wire_aggregate(&mut transport, &cfg, 16)
                 });
                 let aggregate = client.join().expect("client thread").expect("client ok");
                 let report = server.join().expect("server thread").expect("server ok");
@@ -892,22 +967,8 @@ mod tests {
         let executor =
             build_executor("sharded-pdq", &ExecutorSpec::new(2).capacity(256)).expect("executor");
         let service = crate::ExecutorService::new(executor.as_ref(), base.blocks);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("local addr");
-        let report = std::thread::scope(|scope| {
-            let service = &service;
-            let server = scope.spawn(move || {
-                serve_poll(&listener, service, &PollOptions::new(clients as usize, 2))
-            });
-            let mut joined = Vec::new();
-            for client in 0..clients {
-                let events = generate_events(&client_config(&base, client));
-                joined.push(scope.spawn(move || tcp_client(addr, &events, 32)));
-            }
-            for handle in joined {
-                handle.join().expect("client thread").expect("client ok");
-            }
-            server.join().expect("server thread").expect("server ok")
+        let (report, _) = serve_clients(&base, clients, 32, |listener| {
+            serve_poll(listener, &service, &PollOptions::new(clients as usize, 2))
         });
         assert_eq!(report.connections, clients);
         assert_eq!(report.failed, 0);
@@ -973,21 +1034,11 @@ mod tests {
             inner: crate::ExecutorService::new(executor.as_ref(), cfg.blocks),
             refusals: AtomicUsize::new(50),
         };
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("local addr");
         let events = generate_events(&cfg);
-        let report = std::thread::scope(|scope| {
-            let service = &service;
-            let server =
-                scope.spawn(move || serve_poll(&listener, service, &PollOptions::new(1, 1)));
-            let client = scope.spawn({
-                let events = &events;
-                move || tcp_client(addr, events, 16)
-            });
-            let client_report = client.join().expect("client thread").expect("client ok");
-            assert_eq!(client_report.acked, cfg.events as u64);
-            server.join().expect("server thread").expect("server ok")
+        let (report, clients_done) = serve_clients(&cfg, 1, 16, |listener| {
+            serve_poll(listener, &service, &PollOptions::new(1, 1))
         });
+        assert_eq!(clients_done[0].acked, cfg.events as u64);
         assert!(
             report.suspensions > 0,
             "refused admission never suspended socket reads"

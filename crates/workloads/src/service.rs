@@ -15,17 +15,15 @@
 //! [`TypedFuture`] of the [`Reply`]); [`ExecutorService`] implements it over
 //! any [`Executor`] by submitting the [`ServerState`] handler with
 //! `submit_async_returning`, so a handler panic or an executor shutdown
-//! surfaces as a typed [`JobError`] instead of a poisoned counter. [`serve`]
-//! drives a [`Transport`] against a service with a bounded window of
-//! in-flight calls; [`run_client`] is the matching client: it streams the
-//! deterministic event stream of a [`ServerConfig`], verifies every ack
-//! against the reply digest it expects, and fetches the final
-//! [`ServerAggregate`] — which is byte-identical to an in-process
-//! [`run_server`](crate::run_server) run of the same config, whatever the
-//! executor and whatever the transport.
+//! surfaces as a typed [`JobError`] instead of a poisoned counter.
+//! [`serve_durable`] drives a [`Transport`] against a service with a bounded
+//! window of in-flight calls; [`run_client_events`] is the matching client:
+//! it streams protocol events, verifies every ack against the reply digest
+//! it expects, and drains the window. The aggregate the driver then folds is
+//! byte-identical to an in-process [`run_server`](crate::run_server) run of
+//! the same events, whatever the executor and whatever the transport.
 
 use std::collections::VecDeque;
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,10 +35,8 @@ use pdq_core::{ShutdownError, SyncKey};
 use pdq_dsm::{BlockAddr, Message, PageAddr, ProtocolEvent, Request};
 
 use crate::metrics::ConnObs;
-use crate::protocol_server::{
-    generate_events, ServerAggregate, ServerConfig, ServerError, ServerState,
-};
-use crate::transport::{TcpTransport, Transport};
+use crate::protocol_server::{ServerAggregate, ServerError, ServerState};
+use crate::transport::Transport;
 use crate::wal::WalWriter;
 
 /// The typed response to one protocol request.
@@ -77,10 +73,11 @@ impl Reply {
 
 /// A service that answers protocol requests with typed replies.
 ///
-/// The server loop ([`serve`]) is written against this trait, so anything
-/// that can turn a [`ProtocolEvent`] into a [`TypedFuture<Reply>`] can sit
-/// behind any [`Transport`] — the executor-backed [`ExecutorService`] being
-/// the implementation the paper's abstraction is about.
+/// The server loop ([`serve_durable`]) is written against this trait, so
+/// anything that can turn a [`ProtocolEvent`] into a [`TypedFuture<Reply>`]
+/// can sit behind any [`Transport`] — the executor-backed
+/// [`ExecutorService`] being the implementation the paper's abstraction is
+/// about.
 pub trait ProtocolService: Send + Sync {
     /// Dispatches one request; the returned future resolves with the reply
     /// once the handler has run (backpressure from a bounded executor queue
@@ -657,6 +654,27 @@ fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<Vec<u8>, 
     }
 }
 
+/// Durability configuration for [`serve_durable`]: whether, and how, the
+/// serve loop write-ahead-logs every event before dispatching it.
+#[derive(Debug)]
+pub enum Durability<'a> {
+    /// No logging.
+    Off,
+    /// Append every event to `wal` before the service sees it, sync
+    /// (durability barrier) every `sync_every` events, and write a full state
+    /// snapshot every `snapshot_every` events to bound recovery replay.
+    /// Snapshot cadences that are not multiples of `sync_every` get both
+    /// record kinds at their own cadences; a snapshot always syncs.
+    LogSnapshot {
+        /// The write-ahead log to append to.
+        wal: &'a mut WalWriter,
+        /// Events between sync points (clamped to at least 1).
+        sync_every: u64,
+        /// Events between snapshot records; `0` writes no snapshots.
+        snapshot_every: u64,
+    },
+}
+
 /// Serves one framed connection: decodes request frames, dispatches events
 /// through `service` with at most `window` calls in flight (acking the
 /// oldest call whenever the window fills), and answers an aggregate request
@@ -677,52 +695,11 @@ fn resolve_ack(fut: TypedFuture<Reply>, completed: &mut u64) -> Result<Vec<u8>, 
 /// the executor (keeping the service state consistent), but no reply is
 /// encoded for them.
 ///
-/// # Errors
+/// # Durability
 ///
-/// [`ServerError::Io`] on transport failure, [`ServerError::Protocol`] on a
-/// malformed, truncated, or oversized frame, [`ServerError::Shutdown`] if
-/// the executor behind the service shuts down while calls are in flight.
-pub fn serve(
-    service: &dyn ProtocolService,
-    transport: &mut dyn Transport,
-    window: usize,
-) -> Result<u64, ServerError> {
-    serve_durable(service, transport, window, Durability::Off)
-}
-
-/// Durability configuration for [`serve_durable`]: whether, and how, the
-/// serve loop write-ahead-logs every event before dispatching it.
-#[derive(Debug)]
-pub enum Durability<'a> {
-    /// No logging — the configuration [`serve`] runs with.
-    Off,
-    /// Append every event to `wal` before the service sees it, and sync
-    /// (durability barrier) every `sync_every` events.
-    Log {
-        /// The write-ahead log to append to.
-        wal: &'a mut WalWriter,
-        /// Events between sync points (clamped to at least 1).
-        sync_every: u64,
-    },
-    /// As [`Durability::Log`], plus a full state snapshot every
-    /// `snapshot_every` events to bound recovery replay. Snapshot cadences
-    /// that are not multiples of `sync_every` get both record kinds at
-    /// their own cadences; a snapshot always syncs.
-    LogSnapshot {
-        /// The write-ahead log to append to.
-        wal: &'a mut WalWriter,
-        /// Events between sync points (clamped to at least 1).
-        sync_every: u64,
-        /// Events between snapshot records (clamped to at least 1).
-        snapshot_every: u64,
-    },
-}
-
-/// [`serve`] with a [`Durability`] configuration: identical request/reply
-/// behaviour, but with `Log`/`LogSnapshot` every event is appended to the
+/// With [`Durability::LogSnapshot`] every event is appended to the
 /// write-ahead log **before** `service.call` dispatches it — so a crash at
 /// any point loses at most replies, never acknowledged-and-synced state.
-///
 /// The logging discipline:
 ///
 /// * event `n` is appended, then dispatched, then (window permitting) acked;
@@ -738,9 +715,12 @@ pub enum Durability<'a> {
 ///
 /// # Errors
 ///
-/// As [`serve`], plus [`ServerError::Io`] if appending to or syncing the
-/// log fails — a durability failure tears the connection down rather than
-/// silently serving without its log.
+/// [`ServerError::Io`] on transport failure, [`ServerError::Protocol`] on a
+/// malformed, truncated, or oversized frame, [`ServerError::Shutdown`] if
+/// the executor behind the service shuts down while calls are in flight.
+/// Appending to or syncing the log fails with [`ServerError::Io`] too — a
+/// durability failure tears the connection down rather than silently
+/// serving without its log.
 pub fn serve_durable(
     service: &dyn ProtocolService,
     transport: &mut dyn Transport,
@@ -774,12 +754,11 @@ pub fn serve_observed(
     let window = window.max(1);
     let (mut wal, sync_every, snapshot_every) = match durability {
         Durability::Off => (None, 0, 0),
-        Durability::Log { wal, sync_every } => (Some(wal), sync_every.max(1), 0),
         Durability::LogSnapshot {
             wal,
             sync_every,
             snapshot_every,
-        } => (Some(wal), sync_every.max(1), snapshot_every.max(1)),
+        } => (Some(wal), sync_every.max(1), snapshot_every),
     };
     let mut pending: VecDeque<TypedFuture<Reply>> = VecDeque::with_capacity(window);
     // Decode timestamps, index-parallel to `pending`; only maintained when
@@ -875,105 +854,6 @@ pub fn serve_observed(
     }
 }
 
-/// Binds the service to one TCP connection: accepts a single client on
-/// `listener` and serves it to completion.
-///
-/// This is the **one-shot** path — it accepts exactly one connection and
-/// returns when that client disconnects. A real multi-client server is the
-/// [`server`](crate::server) module's business ([`serve_pool`](crate::serve_pool)
-/// / [`serve_poll`](crate::serve_poll)).
-///
-/// # Errors
-///
-/// As [`serve`], plus [`ServerError::Io`] if accepting the connection or
-/// configuring the socket (`TCP_NODELAY`) fails — a socket the server could
-/// not configure would silently serve with different latency behaviour, so
-/// the failure surfaces instead of being swallowed.
-pub fn serve_tcp_once(
-    listener: &TcpListener,
-    service: &dyn ProtocolService,
-    window: usize,
-) -> Result<u64, ServerError> {
-    let (stream, _) = listener.accept().map_err(ServerError::Io)?;
-    stream.set_nodelay(true).map_err(ServerError::Io)?;
-    let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-    serve(service, &mut transport, window)
-}
-
-/// Streams the deterministic event stream of `cfg` to a protocol server over
-/// `transport`, reading acks with a sliding window of `window` unanswered
-/// requests, then requests and returns the final aggregate.
-///
-/// Every ack is verified against the reply digest the client expects for the
-/// event at that position (the server answers strictly in request order).
-/// `window` must be **larger than the server's reply window** — the server
-/// only acks request `i` once request `i + server_window` has arrived, so a
-/// client that stops sending to wait for acks earlier than that deadlocks
-/// the pipeline.
-///
-/// # Errors
-///
-/// [`ServerError::Io`] on transport failure, [`ServerError::Protocol`] on a
-/// malformed or mismatching reply.
-pub fn run_client(
-    transport: &mut dyn Transport,
-    cfg: &ServerConfig,
-    window: usize,
-) -> Result<ServerAggregate, ServerError> {
-    let window = window.max(1);
-    let mut expected: VecDeque<Reply> = VecDeque::with_capacity(window);
-    let mut panicked = 0u64;
-    let read_ack = |transport: &mut dyn Transport,
-                    expected: &mut VecDeque<Reply>,
-                    panicked: &mut u64|
-     -> Result<(), ServerError> {
-        let frame = recv_frame(transport)?
-            .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-        let ack = decode_ack(&frame)?;
-        let want = expected
-            .pop_front()
-            .expect("an ack is only awaited for an outstanding request");
-        match ack.status {
-            ACK_DONE if ack.reply == want => Ok(()),
-            ACK_DONE => Err(ServerError::Protocol(format!(
-                "reply mismatch: got {:?}, expected {:?}",
-                ack.reply, want
-            ))),
-            ACK_PANICKED => {
-                *panicked += 1;
-                Ok(())
-            }
-            other => Err(ServerError::Protocol(format!("unknown ack status {other}"))),
-        }
-    };
-    for event in generate_events(cfg) {
-        transport
-            .send(&encode_event_request(&event))
-            .map_err(ServerError::Io)?;
-        expected.push_back(Reply::for_event(&event));
-        if expected.len() >= window {
-            read_ack(transport, &mut expected, &mut panicked)?;
-        }
-    }
-    transport
-        .send(&encode_aggregate_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
-    while !expected.is_empty() {
-        read_ack(transport, &mut expected, &mut panicked)?;
-    }
-    let frame = recv_frame(transport)?
-        .ok_or_else(|| ServerError::Protocol("server closed before the aggregate".into()))?;
-    let aggregate = decode_aggregate_reply(&frame)?;
-    if aggregate.completed + panicked != cfg.events as u64 {
-        return Err(ServerError::Protocol(format!(
-            "server completed {} + {panicked} panicked of {} events",
-            aggregate.completed, cfg.events
-        )));
-    }
-    Ok(aggregate)
-}
-
 /// What one [`run_client_events`] run observed.
 #[derive(Debug, Default, Clone)]
 pub struct ClientReport {
@@ -988,21 +868,215 @@ pub struct ClientReport {
     pub latencies_ns: Vec<u64>,
 }
 
+/// What a client expects the in-order ack for one request to say.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Expect {
+    /// `ACK_DONE` carrying exactly this reply, or `ACK_PANICKED`: a
+    /// well-behaved client cannot know which handlers panic.
+    ReplyOrPanic(Reply),
+    /// `ACK_DONE` carrying exactly this reply; a panicked ack is a mismatch.
+    Done(Reply),
+    /// `ACK_PANICKED`: the request was poisoned.
+    Panic,
+}
+
+/// Decides whether `ack` answers a request that expects `want`: `Ok(true)`
+/// for an accepted panicked ack, `Ok(false)` for a verified reply.
+fn check_ack(ack: Ack, want: Expect) -> Result<bool, ServerError> {
+    match (ack.status, want) {
+        (ACK_DONE, Expect::ReplyOrPanic(reply) | Expect::Done(reply)) if ack.reply == reply => {
+            Ok(false)
+        }
+        (ACK_PANICKED, Expect::ReplyOrPanic(_) | Expect::Panic) => Ok(true),
+        (status, want) => Err(ServerError::Protocol(format!(
+            "ack mismatch: status {status}, reply {:?}, expected {want:?}",
+            ack.reply
+        ))),
+    }
+}
+
+/// How a [`Client`] run ends once every request is sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Finish {
+    /// Send a drain request and read every outstanding ack.
+    Drain,
+    /// Send an aggregate request, read every outstanding ack, then the
+    /// aggregate.
+    Aggregate,
+    /// Leave the outstanding acks unread; the caller drops the connection.
+    Vanish,
+    /// The server is meant to die mid-stream: read acks until it closes. An
+    /// aggregate reply among them (answering an aggregate request the
+    /// caller queued) is decoded and skipped.
+    Close,
+}
+
+/// The client half of one framed connection: sends event requests, keeps
+/// the ack each one expects in request order (the server answers strictly in
+/// request order), and verifies every ack it reads with [`check_ack`].
+#[derive(Debug)]
+pub(crate) struct Client {
+    finish: Finish,
+    expected: VecDeque<Expect>,
+    /// Send timestamps, index-parallel to `expected`; `None` unless latency
+    /// is recorded.
+    sent_at: Option<VecDeque<Instant>>,
+    report: ClientReport,
+    /// Set once the server closed under a run that tolerates it: every ack
+    /// it sent has been read, and no more will come.
+    closed: bool,
+}
+
+impl Client {
+    /// A client that ends with `finish`, recording per-reply latency when
+    /// `record_latency` is set.
+    pub(crate) fn new(finish: Finish, record_latency: bool) -> Self {
+        Self {
+            finish,
+            expected: VecDeque::new(),
+            sent_at: record_latency.then(VecDeque::new),
+            report: ClientReport::default(),
+            closed: false,
+        }
+    }
+
+    /// Sends `events` in bursts of `burst` frames (`expect(i, event)` names
+    /// the ack event `i` must get) and, after each burst, reads acks until
+    /// fewer than `window` are unanswered. With `burst = 1`, `window` must
+    /// exceed the server's reply window, or the pipeline deadlocks.
+    ///
+    /// A failed send is the client's [`ServerError::Io`], except in a
+    /// [`Finish::Vanish`] or [`Finish::Close`] run: those still offer every
+    /// frame, so [`ClientReport::sent`] never depends on when the server
+    /// went away.
+    pub(crate) fn stream(
+        &mut self,
+        transport: &mut dyn Transport,
+        events: &[ProtocolEvent],
+        expect: impl Fn(usize, &ProtocolEvent) -> Expect,
+        window: usize,
+        burst: usize,
+    ) -> Result<(), ServerError> {
+        let window = window.max(1);
+        let burst = burst.max(1);
+        for (i, event) in events.iter().enumerate() {
+            self.report.sent += 1;
+            if let Err(e) = transport.send(&encode_event_request(event)) {
+                if !self.tolerates_close() {
+                    return Err(ServerError::Io(e));
+                }
+            }
+            self.expected.push_back(expect(i, event));
+            if let Some(sent_at) = &mut self.sent_at {
+                sent_at.push_back(Instant::now());
+            }
+            if (i + 1) % burst == 0 || i + 1 == events.len() {
+                while !self.closed && self.expected.len() >= window {
+                    self.read_ack(transport)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the run expects the server may go away before the client is
+    /// done.
+    fn tolerates_close(&self) -> bool {
+        matches!(self.finish, Finish::Vanish | Finish::Close)
+    }
+
+    /// Reads one frame and verifies it as the ack of the oldest outstanding
+    /// request. A server that closes instead is an error, unless the run
+    /// tolerates it.
+    fn read_ack(&mut self, transport: &mut dyn Transport) -> Result<(), ServerError> {
+        let Some(frame) = recv_frame(transport)? else {
+            if !self.tolerates_close() {
+                return Err(ServerError::Protocol("server closed before acking".into()));
+            }
+            self.closed = true;
+            return Ok(());
+        };
+        if self.finish == Finish::Close && frame.first() == Some(&REP_AGGREGATE) {
+            return decode_aggregate_reply(&frame).map(drop);
+        }
+        let ack = decode_ack(&frame)?;
+        let want = self
+            .expected
+            .pop_front()
+            .ok_or_else(|| ServerError::Protocol("ack without an outstanding request".into()))?;
+        if let Some(at) = self.sent_at.as_mut().and_then(VecDeque::pop_front) {
+            self.report
+                .latencies_ns
+                .push(u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        self.report.acked += 1;
+        if check_ack(ack, want)? {
+            self.report.panicked += 1;
+        }
+        Ok(())
+    }
+
+    /// Ends the run as its [`Finish`] says and returns what it observed,
+    /// plus the aggregate for [`Finish::Aggregate`].
+    pub(crate) fn finish(
+        mut self,
+        transport: &mut dyn Transport,
+    ) -> Result<(ClientReport, Option<ServerAggregate>), ServerError> {
+        let request = match self.finish {
+            Finish::Drain => encode_drain_request(),
+            Finish::Aggregate => encode_aggregate_request(),
+            Finish::Vanish | Finish::Close => {
+                while self.finish == Finish::Close && !self.closed {
+                    self.read_ack(transport)?;
+                }
+                return Ok((self.report, None));
+            }
+        };
+        transport.send(&request).map_err(ServerError::Io)?;
+        transport.flush().map_err(ServerError::Io)?;
+        while !self.expected.is_empty() {
+            self.read_ack(transport)?;
+        }
+        if self.finish == Finish::Drain {
+            return Ok((self.report, None));
+        }
+        let frame = recv_frame(transport)?
+            .ok_or_else(|| ServerError::Protocol("server closed before the aggregate".into()))?;
+        Ok((self.report, Some(decode_aggregate_reply(&frame)?)))
+    }
+}
+
+/// The windowed client in one call: [`Client::stream`] then
+/// [`Client::finish`], without latency capture.
+pub(crate) fn run_window(
+    transport: &mut dyn Transport,
+    events: &[ProtocolEvent],
+    expect: impl Fn(usize, &ProtocolEvent) -> Expect,
+    window: usize,
+    burst: usize,
+    finish: Finish,
+) -> Result<(ClientReport, Option<ServerAggregate>), ServerError> {
+    let mut client = Client::new(finish, false);
+    client.stream(transport, events, expect, window, burst)?;
+    client.finish(transport)
+}
+
 /// Streams `events` to a protocol server, digest-verifies every ack, and
-/// returns without fetching an aggregate — the client driver for
-/// **multi-client** runs, where the server state is shared and a
-/// per-connection aggregate snapshot would be racy and meaningless. The run
 /// ends with a drain request so the server acks the tail of the window
-/// before the client closes.
+/// before the client closes. No aggregate is fetched: in **multi-client**
+/// runs the server state is shared, so a per-connection aggregate snapshot
+/// would be racy and meaningless — the driver folds it once, after every
+/// client is done.
 ///
 /// With `record_latency`, every request's send time is kept and the
 /// ack-to-send delta recorded in [`ClientReport::latencies_ns`] — the soak
 /// driver merges these across clients into its percentile report.
 ///
-/// As with [`run_client`], `window` (the maximum unanswered requests before
-/// the client stops to read an ack) must exceed the server's reply window on
-/// windowed serve loops ([`serve`] / the pool tier); the poll tier acks
-/// eagerly and accepts any window.
+/// `window` (the maximum unanswered requests before the client stops to
+/// read an ack) must exceed the server's reply window on windowed serve
+/// loops ([`serve_durable`] / the pool tier); the poll tier acks eagerly
+/// and accepts any window. A panicked handler's ack is accepted and counted
+/// in [`ClientReport::panicked`].
 ///
 /// # Errors
 ///
@@ -1014,61 +1088,10 @@ pub fn run_client_events(
     window: usize,
     record_latency: bool,
 ) -> Result<ClientReport, ServerError> {
-    let window = window.max(1);
-    let mut expected: VecDeque<Reply> = VecDeque::with_capacity(window);
-    let mut sent_at: VecDeque<Instant> = VecDeque::new();
-    let mut report = ClientReport::default();
-    let read_ack = |transport: &mut dyn Transport,
-                    expected: &mut VecDeque<Reply>,
-                    sent_at: &mut VecDeque<Instant>,
-                    report: &mut ClientReport|
-     -> Result<(), ServerError> {
-        let frame = recv_frame(transport)?
-            .ok_or_else(|| ServerError::Protocol("server closed before acking".into()))?;
-        let ack = decode_ack(&frame)?;
-        let want = expected
-            .pop_front()
-            .expect("an ack is only awaited for an outstanding request");
-        if let Some(at) = sent_at.pop_front() {
-            report
-                .latencies_ns
-                .push(u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        report.acked += 1;
-        match ack.status {
-            ACK_DONE if ack.reply == want => Ok(()),
-            ACK_DONE => Err(ServerError::Protocol(format!(
-                "reply mismatch: got {:?}, expected {:?}",
-                ack.reply, want
-            ))),
-            ACK_PANICKED => {
-                report.panicked += 1;
-                Ok(())
-            }
-            other => Err(ServerError::Protocol(format!("unknown ack status {other}"))),
-        }
-    };
-    for event in events {
-        transport
-            .send(&encode_event_request(event))
-            .map_err(ServerError::Io)?;
-        report.sent += 1;
-        expected.push_back(Reply::for_event(event));
-        if record_latency {
-            sent_at.push_back(Instant::now());
-        }
-        if expected.len() >= window {
-            read_ack(transport, &mut expected, &mut sent_at, &mut report)?;
-        }
-    }
-    transport
-        .send(&encode_drain_request())
-        .map_err(ServerError::Io)?;
-    transport.flush().map_err(ServerError::Io)?;
-    while !expected.is_empty() {
-        read_ack(transport, &mut expected, &mut sent_at, &mut report)?;
-    }
-    Ok(report)
+    let mut client = Client::new(Finish::Drain, record_latency);
+    let expect = |_: usize, event: &ProtocolEvent| Expect::ReplyOrPanic(Reply::for_event(event));
+    client.stream(transport, events, expect, window, 1)?;
+    Ok(client.finish(transport)?.0)
 }
 
 /// Requests the server's metrics text in-band on an idle protocol
@@ -1090,12 +1113,28 @@ pub fn run_metrics_probe(transport: &mut dyn Transport) -> Result<String, Server
     decode_metrics_reply(&frame)
 }
 
+/// Streams `cfg`'s events through the windowed client and fetches the
+/// server's aggregate over the wire.
+#[cfg(test)]
+pub(crate) fn wire_aggregate(
+    transport: &mut dyn Transport,
+    cfg: &crate::ServerConfig,
+    window: usize,
+) -> Result<ServerAggregate, ServerError> {
+    let events = crate::generate_events(cfg);
+    let expect = |_: usize, event: &ProtocolEvent| Expect::ReplyOrPanic(Reply::for_event(event));
+    let (_, aggregate) = run_window(transport, &events, expect, window, 1, Finish::Aggregate)?;
+    Ok(aggregate.expect("an aggregate run returns the aggregate"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol_server::run_server;
-    use crate::transport::loopback_pair;
+    use crate::protocol_server::{generate_events, run_server, ServerConfig};
+    use crate::server::{serve_pool, PoolOptions};
+    use crate::transport::{loopback_pair, TcpTransport};
     use pdq_core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
+    use std::net::TcpListener;
 
     #[test]
     fn every_event_kind_roundtrips_through_the_codec() {
@@ -1237,8 +1276,9 @@ mod tests {
             let service = ExecutorService::new(&*pool2, cfg.blocks);
             let (mut client_end, mut server_end) = loopback_pair();
             let aggregate = std::thread::scope(|scope| {
-                let server = scope.spawn(move || serve(&service, &mut server_end, 64));
-                let aggregate = run_client(&mut client_end, &cfg, 128).expect("client run");
+                let server = scope
+                    .spawn(move || serve_durable(&service, &mut server_end, 64, Durability::Off));
+                let aggregate = wire_aggregate(&mut client_end, &cfg, 128).expect("client run");
                 drop(client_end);
                 server.join().expect("server thread").expect("server run");
                 aggregate
@@ -1263,45 +1303,56 @@ mod tests {
         let cfg = ServerConfig::quick();
         let pool = build_executor("pdq", &ExecutorSpec::new(2).capacity(32)).expect("pdq builds");
         let reference = run_server(&*pool, &cfg, 64).expect("in-process run");
-        let pool2 = build_executor("pdq", &ExecutorSpec::new(2).capacity(32)).expect("pdq builds");
-        let service = ExecutorService::new(&*pool2, cfg.blocks);
-        let sink = SharedSink::new();
-        let mut wal = WalWriter::new(sink.clone(), cfg.blocks).expect("header write");
-        let (mut client_end, mut server_end) = loopback_pair();
-        let aggregate = std::thread::scope(|scope| {
-            let server = scope.spawn(|| {
-                serve_durable(
-                    &service,
-                    &mut server_end,
-                    64,
-                    Durability::LogSnapshot {
-                        wal: &mut wal,
-                        sync_every: 32,
-                        snapshot_every: 512,
-                    },
-                )
+        // `snapshot_every: 0` writes no snapshots: recovery replays the full
+        // log, and must land on the same aggregate.
+        for snapshot_every in [512, 0] {
+            let pool2 =
+                build_executor("pdq", &ExecutorSpec::new(2).capacity(32)).expect("pdq builds");
+            let service = ExecutorService::new(&*pool2, cfg.blocks);
+            let sink = SharedSink::new();
+            let mut wal = WalWriter::new(sink.clone(), cfg.blocks).expect("header write");
+            let (mut client_end, mut server_end) = loopback_pair();
+            let aggregate = std::thread::scope(|scope| {
+                let server = scope.spawn(|| {
+                    serve_durable(
+                        &service,
+                        &mut server_end,
+                        64,
+                        Durability::LogSnapshot {
+                            wal: &mut wal,
+                            sync_every: 32,
+                            snapshot_every,
+                        },
+                    )
+                });
+                let aggregate = wire_aggregate(&mut client_end, &cfg, 128).expect("client run");
+                drop(client_end);
+                server.join().expect("server thread").expect("server run");
+                aggregate
             });
-            let aggregate = run_client(&mut client_end, &cfg, 128).expect("client run");
-            drop(client_end);
-            server.join().expect("server thread").expect("server run");
-            aggregate
-        });
-        // Durability must not perturb the observable protocol: the aggregate
-        // is byte-identical to the WAL-less in-process run.
-        assert_eq!(aggregate, reference);
-        // The log recovers cleanly, with a snapshot bounding the suffix, and
-        // replays to the exact same aggregate.
-        let recovery = scan_bytes(&sink.image());
-        assert!(!recovery.torn);
-        assert_eq!(recovery.total_events, cfg.events as u64);
-        assert_eq!(recovery.synced_events, cfg.events as u64);
-        let snapshot = recovery.snapshot.as_ref().expect("snapshot cadence hit");
-        assert!(snapshot.events >= 512);
-        assert!(recovery.suffix.len() < cfg.events);
-        let pool3 = build_executor("spinlock", &ExecutorSpec::new(4).capacity(32)).expect("builds");
-        let replayed = replay(&recovery, &*pool3).expect("replay");
-        assert_eq!(replayed, reference);
-        assert_eq!(replayed.to_json_string(), reference.to_json_string());
+            // Durability must not perturb the observable protocol: the
+            // aggregate is byte-identical to the WAL-less in-process run.
+            assert_eq!(aggregate, reference);
+            // The log recovers cleanly and replays to the exact same
+            // aggregate, with a snapshot bounding the suffix when enabled.
+            let recovery = scan_bytes(&sink.image());
+            assert!(!recovery.torn);
+            assert_eq!(recovery.total_events, cfg.events as u64);
+            assert_eq!(recovery.synced_events, cfg.events as u64);
+            if snapshot_every == 0 {
+                assert!(recovery.snapshot.is_none(), "snapshot written at cadence 0");
+                assert_eq!(recovery.suffix.len(), cfg.events);
+            } else {
+                let snapshot = recovery.snapshot.as_ref().expect("snapshot cadence hit");
+                assert!(snapshot.events >= snapshot_every);
+                assert!(recovery.suffix.len() < cfg.events);
+            }
+            let pool3 =
+                build_executor("spinlock", &ExecutorSpec::new(4).capacity(32)).expect("builds");
+            let replayed = replay(&recovery, &*pool3).expect("replay");
+            assert_eq!(replayed, reference);
+            assert_eq!(replayed.to_json_string(), reference.to_json_string());
+        }
     }
 
     #[test]
@@ -1312,10 +1363,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let tcp_aggregate = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, 32));
+            let server = scope.spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 32)));
             let stream = std::net::TcpStream::connect(addr).expect("connect");
             let mut transport = TcpTransport::new(stream).expect("transport");
-            let aggregate = run_client(&mut transport, &cfg, 64).expect("client run");
+            let aggregate = wire_aggregate(&mut transport, &cfg, 64).expect("client run");
             drop(transport);
             server.join().expect("server thread").expect("server run");
             aggregate
@@ -1373,7 +1424,8 @@ mod tests {
         };
         let (mut client_end, mut server_end) = loopback_pair();
         std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve(&service, &mut server_end, WINDOW));
+            let server =
+                scope.spawn(|| serve_durable(&service, &mut server_end, WINDOW, Durability::Off));
             // Open-loop flood: every frame is buffered by the loopback
             // channel immediately, far ahead of the serve loop.
             let events = generate_events(&ServerConfig::quick().events(FLOOD));
@@ -1429,7 +1481,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(|| serve_tcp_once(&listener, &service, 4));
+            let server = scope.spawn(|| serve_pool(&listener, &service, &PoolOptions::new(1, 4)));
             let mut stream = std::net::TcpStream::connect(addr).expect("connect");
             use std::io::Write;
             // Claim 100 payload bytes, deliver 3, then close.
@@ -1454,9 +1506,10 @@ mod tests {
         let service = ExecutorService::new(&*pool, cfg.blocks);
         let (mut client_end, mut server_end) = loopback_pair();
         let outcome = std::thread::scope(|scope| {
-            let server = scope.spawn(move || serve(&service, &mut server_end, 4));
+            let server =
+                scope.spawn(move || serve_durable(&service, &mut server_end, 4, Durability::Off));
             // Stream events; the server will fail on the first drained call.
-            let _ = run_client(&mut client_end, &cfg, 8);
+            let _ = wire_aggregate(&mut client_end, &cfg, 8);
             drop(client_end);
             server.join().expect("server thread")
         });

@@ -17,9 +17,9 @@ use pdq_workloads::chaos::{
     adversarial_events, poison_schedule, run_chaos, ChaosConfig, ChaosReport, ChaosService,
     FaultAction, FaultPlan, KeyOrderRecorder, Scenario,
 };
-use pdq_workloads::service::{decode_request, encode_aggregate_request, encode_event_request};
-use pdq_workloads::transport::{loopback_pair, read_frame, write_frame, Transport};
-use pdq_workloads::{serve, ServerError};
+use pdq_workloads::service::{decode_request, encode_event_request};
+use pdq_workloads::transport::{loopback_pair, read_frame, write_frame};
+use pdq_workloads::{run_client_events, serve_durable, Durability, ServerError};
 use proptest::prelude::*;
 
 /// Runs one scenario on every registry executor and returns the reports,
@@ -252,26 +252,16 @@ proptest! {
             let service =
                 ChaosService::new(&*pool, cfg.blocks).with_recorder(Arc::clone(&recorder));
             let (mut client_end, mut server_end) = loopback_pair();
+            // A window wider than the stream: no mid-stream acks. The
+            // closing drain acks every event once its handler has run.
+            let window = events.len() + 2;
             std::thread::scope(|scope| {
-                // A window wider than the stream: no mid-stream acks, so the
-                // client can fire-and-forget and drain at the end.
-                let server =
-                    scope.spawn(|| serve(&service, &mut server_end, events.len() + 2));
-                for event in &events {
-                    client_end.send(&encode_event_request(event)).unwrap();
-                }
-                client_end.send(&encode_aggregate_request()).unwrap();
-                // The aggregate path drains every pending ack first, so the
-                // client reads exactly one frame per event plus the
-                // aggregate, then hangs up (the server stays on the line
-                // until EOF).
-                for i in 0..events.len() + 1 {
-                    assert!(
-                        client_end.recv().unwrap().is_some(),
-                        "{name}: server closed after {i} of {} frames",
-                        events.len() + 1
-                    );
-                }
+                let server = scope.spawn(|| {
+                    serve_durable(&service, &mut server_end, window, Durability::Off)
+                });
+                let report = run_client_events(&mut client_end, &events, window + 1, false)
+                    .expect("every ack verifies");
+                assert_eq!(report.acked, events.len() as u64, "{name}: acks lost");
                 drop(client_end);
                 server.join().expect("server thread").expect("serve succeeds");
             });

@@ -10,71 +10,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use pdq_core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
 use pdq_metrics::validate_jsonl;
 use pdq_workloads::{
-    client_config, generate_events, merged_reference_aggregate, run_client_events,
-    run_metrics_probe, scrape_metrics, serve_metrics, serve_poll_observed, serve_pool_observed,
-    ExecutorService, Observability, PollOptions, PoolOptions, ProtocolService, ServerConfig,
+    connect_tcp_clients, generate_events, merged_reference_aggregate, run_client_events,
+    run_metrics_probe, run_tcp_clients, scrape_metrics, serve_metrics, serve_poll_observed,
+    serve_pool_observed, ExecutorService, Observability, PollOptions, PoolOptions, ServerConfig,
     ServerError,
 };
 
-fn tcp_client(
-    addr: std::net::SocketAddr,
-    events: &[pdq_dsm::ProtocolEvent],
-    window: usize,
-) -> Result<pdq_workloads::ClientReport, ServerError> {
-    let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-    stream.set_nodelay(true).map_err(ServerError::Io)?;
-    let mut transport = pdq_workloads::TcpTransport::new(stream).map_err(ServerError::Io)?;
-    run_client_events(&mut transport, events, window, false)
-}
-
-/// Runs `clients` concurrent TCP clients against the given tier with the
-/// given observability and returns the merged aggregate's stable JSON.
-fn merged_run_json(
-    name: &str,
-    base: &ServerConfig,
-    clients: u64,
-    poll: bool,
-    obs: Option<&Observability>,
-) -> String {
-    let executor =
-        build_executor(name, &ExecutorSpec::new(2).capacity(64)).expect("registry executor");
-    let service = ExecutorService::new(executor.as_ref(), base.blocks);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr");
-    let completed = std::thread::scope(|scope| {
-        let service = &service;
-        let server = scope.spawn(move || {
-            if poll {
-                serve_poll_observed(
-                    &listener,
-                    service,
-                    &PollOptions::new(clients as usize, 2),
-                    obs,
-                )
-                .map(|r| r.completed)
-            } else {
-                serve_pool_observed(
-                    &listener,
-                    service,
-                    &PoolOptions::new(clients as usize, 8),
-                    obs,
-                )
-                .map(|r| r.answered)
-            }
-        });
-        let mut joined = Vec::new();
-        for client in 0..clients {
-            let events = generate_events(&client_config(base, client));
-            joined.push(scope.spawn(move || tcp_client(addr, &events, 16)));
-        }
-        for handle in joined {
-            handle.join().expect("client thread").expect("client ok");
-        }
-        server.join().expect("server thread").expect("server ok")
-    });
-    service.flush();
-    service.aggregate(completed).to_json_string()
-}
+mod common;
+use common::merged_run;
 
 /// Observability records, it never steers: with metrics and tracing on, the
 /// merged aggregate of a concurrent run is byte-identical to the
@@ -85,11 +28,13 @@ fn aggregates_are_byte_identical_with_observability_on() {
     let base = ServerConfig::quick().events(150);
     let clients = 2u64;
     let reference = merged_reference_aggregate(&base, clients).to_json_string();
+    let spec = ExecutorSpec::new(2).capacity(64);
     for name in EXECUTOR_NAMES {
         for poll in [false, true] {
             let obs = Observability::with_default_trace();
-            let plain = merged_run_json(name, &base, clients, poll, None);
-            let observed = merged_run_json(name, &base, clients, poll, Some(&obs));
+            let run = |obs| merged_run(name, &spec, &base, clients, poll, obs).to_json_string();
+            let plain = run(None);
+            let observed = run(Some(&obs));
             assert_eq!(
                 plain, observed,
                 "aggregate diverged with observability on ({name}, poll={poll})"
@@ -174,7 +119,6 @@ fn in_band_metrics_probe_answers_on_both_tiers() {
 #[test]
 fn sidecar_endpoint_scrapes_while_serving() {
     let cfg = ServerConfig::quick().events(200);
-    let events = generate_events(&cfg);
     let executor =
         build_executor("pdq", &ExecutorSpec::new(2).capacity(64)).expect("registry executor");
     let service = ExecutorService::new(executor.as_ref(), cfg.blocks);
@@ -183,6 +127,7 @@ fn sidecar_endpoint_scrapes_while_serving() {
     let addr = listener.local_addr().expect("local addr");
     let metrics_listener = TcpListener::bind("127.0.0.1:0").expect("bind metrics");
     let metrics_addr = metrics_listener.local_addr().expect("metrics addr");
+    let transports = connect_tcp_clients(addr, 1).expect("connect");
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let service = &service;
@@ -197,15 +142,17 @@ fn sidecar_endpoint_scrapes_while_serving() {
         let server = scope.spawn(move || {
             serve_poll_observed(&listener, service, &PollOptions::new(1, 1), Some(obs))
         });
-        let events = &events;
-        let client = scope.spawn(move || tcp_client(addr, events, 16));
+        let cfg = &cfg;
+        let client = scope.spawn(move || run_tcp_clients(transports, cfg, 16, false));
         // Scrape while (or shortly after) the client streams.
         let mid = scrape_metrics(metrics_addr).expect("mid-run scrape");
         assert!(
             mid.contains("pdq_executor_executed"),
             "no gauges in:\n{mid}"
         );
-        client.join().expect("client thread").expect("client ok");
+        for client in client.join().expect("client thread") {
+            client.expect("client ok");
+        }
         server.join().expect("server thread").expect("server ok");
         let end = scrape_metrics(metrics_addr).expect("final scrape");
         assert!(end.contains(&format!("pdq_replies_total {}", cfg.events)));

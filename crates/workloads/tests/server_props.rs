@@ -9,62 +9,15 @@ use std::net::{TcpListener, TcpStream};
 
 use pdq_core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
 use pdq_workloads::{
-    client_config, generate_events, merged_reference_aggregate, pool_wal_dir, recover_dir,
-    reference_aggregate, replay, run_client_events, serve_poll, serve_pool, ExecutorService,
-    FrameDecoder, FrameEncoder, PollOptions, PoolOptions, PoolWal, ProtocolService, ServerConfig,
-    ServerError,
+    client_config, connect_tcp_clients, generate_events, merged_reference_aggregate, pool_wal_dir,
+    pool_wal_dirs, recover_dir, reference_aggregate, replay, run_tcp_clients, serve_poll,
+    serve_pool, ExecutorService, FrameDecoder, FrameEncoder, PollOptions, PoolOptions, PoolWal,
+    ProtocolService, ServerConfig,
 };
 use proptest::prelude::*;
 
-fn tcp_client(
-    addr: std::net::SocketAddr,
-    events: &[pdq_dsm::ProtocolEvent],
-    window: usize,
-) -> Result<pdq_workloads::ClientReport, ServerError> {
-    let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-    stream.set_nodelay(true).map_err(ServerError::Io)?;
-    let mut transport = pdq_workloads::TcpTransport::new(stream).map_err(ServerError::Io)?;
-    run_client_events(&mut transport, events, window, false)
-}
-
-/// Runs `clients` concurrent TCP clients against the given tier and returns
-/// the merged aggregate (driver-side fetch after every connection drains).
-fn merged_run(
-    name: &str,
-    ring: bool,
-    base: &ServerConfig,
-    clients: u64,
-    poll: bool,
-) -> pdq_workloads::ServerAggregate {
-    let executor = build_executor(name, &ExecutorSpec::new(2).capacity(64).ring(ring))
-        .expect("registry executor");
-    let service = ExecutorService::new(executor.as_ref(), base.blocks);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr");
-    let completed = std::thread::scope(|scope| {
-        let service = &service;
-        let server = scope.spawn(move || {
-            if poll {
-                serve_poll(&listener, service, &PollOptions::new(clients as usize, 2))
-                    .map(|r| r.completed)
-            } else {
-                serve_pool(&listener, service, &PoolOptions::new(clients as usize, 8))
-                    .map(|r| r.answered)
-            }
-        });
-        let mut joined = Vec::new();
-        for client in 0..clients {
-            let events = generate_events(&client_config(base, client));
-            joined.push(scope.spawn(move || tcp_client(addr, &events, 16)));
-        }
-        for handle in joined {
-            handle.join().expect("client thread").expect("client ok");
-        }
-        server.join().expect("server thread").expect("server ok")
-    });
-    service.flush();
-    service.aggregate(completed)
-}
+mod common;
+use common::merged_run;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -82,11 +35,12 @@ proptest! {
     ) {
         let base = ServerConfig::quick().events(events).seed(seed);
         let reference = merged_reference_aggregate(&base, clients);
+        let spec = ExecutorSpec::new(2).capacity(64).ring(ring);
         for name in EXECUTOR_NAMES {
-            let pool = merged_run(name, ring, &base, clients, false);
+            let pool = merged_run(name, &spec, &base, clients, false, None);
             prop_assert_eq!(pool, reference, "pool tier diverged on {} (ring={})", name, ring);
         }
-        let poll = merged_run("sharded-pdq", ring, &base, clients, true);
+        let poll = merged_run("sharded-pdq", &spec, &base, clients, true, None);
         prop_assert_eq!(poll, reference, "poll tier diverged (ring={})", ring);
     }
 
@@ -205,19 +159,15 @@ fn pool_wal_crash_recovery_over_tcp() {
             crash_after: Some(100),
         }),
     };
+    let transports = connect_tcp_clients(addr, clients).expect("connect");
     let server_outcome = std::thread::scope(|scope| {
         let service = &service;
         let opts = &opts;
         let server = scope.spawn(move || serve_pool(&listener, service, opts));
-        let mut joined = Vec::new();
-        for client in 0..clients {
-            let events = generate_events(&client_config(&base, client));
-            joined.push(scope.spawn(move || tcp_client(addr, &events, 16)));
-        }
-        for handle in joined {
+        for client in run_tcp_clients(transports, &base, 16, false) {
             // Every client must die: its server connection crashed mid-log.
             assert!(
-                handle.join().expect("client thread").is_err(),
+                client.is_err(),
                 "a client survived its server's armed WAL crash"
             );
         }
@@ -230,15 +180,19 @@ fn pool_wal_crash_recovery_over_tcp() {
 
     // Each per-connection log recovers a synced prefix of exactly one
     // client's deterministic stream, and replays to that prefix's reference
-    // fold. Accept order is nondeterministic, so match each log against all
-    // client streams — but demand each stream is matched exactly once.
+    // fold. The check does not lean on accept order: each log is matched
+    // against all client streams, and each stream must match exactly once.
     let streams: Vec<Vec<pdq_dsm::ProtocolEvent>> = (0..clients)
         .map(|c| generate_events(&client_config(&base, c)))
         .collect();
     let mut matched = vec![false; streams.len()];
-    for conn in 0..clients {
-        let dir = pool_wal_dir(&tmp, conn as usize);
-        let recovery = recover_dir(&dir).expect("per-connection log must exist");
+    let dirs = pool_wal_dirs(&tmp);
+    let expected_dirs: Vec<_> = (0..clients as usize)
+        .map(|c| pool_wal_dir(&tmp, c))
+        .collect();
+    assert_eq!(dirs, expected_dirs, "one log directory per connection");
+    for (conn, dir) in dirs.iter().enumerate() {
+        let recovery = recover_dir(dir).expect("per-connection log must exist");
         assert!(recovery.total_events > 0, "conn {conn} recovered nothing");
         let owner = streams
             .iter()
@@ -287,9 +241,9 @@ fn poll_survives_a_mid_frame_disconnect() {
                 .expect("partial frame");
             drop(stream);
         });
-        let good = scope.spawn({
-            let events = &events;
-            move || tcp_client(addr, events, 16)
+        let good = scope.spawn(move || {
+            let transports = connect_tcp_clients(addr, 1)?;
+            run_tcp_clients(transports, &cfg, 16, false).remove(0)
         });
         saboteur.join().expect("saboteur thread");
         let good_report = good.join().expect("client thread").expect("good client ok");

@@ -25,7 +25,9 @@
 
 use std::process::ExitCode;
 
-use pdq_repro::core::executor::{build_executor, Executor, ExecutorSpec, EXECUTOR_NAMES};
+use pdq_repro::core::executor::{
+    build_executor, parse_env_value, Executor, ExecutorSpec, EXECUTOR_NAMES,
+};
 use pdq_repro::workloads::chaos::{run_chaos, ChaosConfig, ChaosReport, Scenario};
 
 /// Queue capacity bound (per queue/shard), matching the protocol-server
@@ -127,22 +129,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Same PDQ_WORKERS rules as the protocol-server example: unset/empty
-    // means the default, malformed or out-of-range is rejected.
-    let workers = match std::env::var("PDQ_WORKERS") {
-        Err(_) => 4,
-        Ok(v) if v.is_empty() => 4,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if (1..=512).contains(&n) => n,
-            Ok(_) => {
-                eprintln!("PDQ_WORKERS={v} is out of range (expected 1..=512)");
-                return ExitCode::from(2);
-            }
-            Err(_) => {
-                eprintln!("PDQ_WORKERS={v} is not a valid number (expected 1..=512)");
-                return ExitCode::from(2);
-            }
-        },
+    let raw_workers = std::env::var("PDQ_WORKERS").ok();
+    let workers = match parse_env_value("PDQ_WORKERS", raw_workers.as_deref(), 1usize, 512) {
+        Ok(workers) => workers.unwrap_or(4),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
     let names: Vec<&str> = if executor == "all" {
         EXECUTOR_NAMES.to_vec()

@@ -20,8 +20,9 @@
 //!   `submit_async_returning`, and each reply is acked back;
 //! * `tcp` — the same client/server split over a real `127.0.0.1` TCP
 //!   socket, served by the multi-connection pool server (`serve_pool`);
-//!   `--clients N` runs N concurrent clients on per-client seeded streams
-//!   and checks the merged aggregate against the sequential reference fold.
+//!   `--clients N` (N <= 128) runs N concurrent clients on per-client
+//!   seeded streams and checks the merged aggregate against the sequential
+//!   reference fold.
 //!
 //! The aggregate is executor-independent **and** transport-independent: CI
 //! runs every executor under `PDQ_WORKERS=4` on both `inproc` and `tcp` and
@@ -43,18 +44,20 @@
 //! replayed log, with its event count and whether a torn tail was
 //! truncated.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::ExitCode;
 
-use pdq_repro::core::executor::{build_executor, ExecutorSpec, EXECUTOR_NAMES};
-use pdq_repro::workloads::serve_pool;
+use pdq_repro::core::executor::{build_executor, parse_env_value, ExecutorSpec, EXECUTOR_NAMES};
 use pdq_repro::workloads::{
-    client_config, generate_events, loopback_pair, merged_reference_aggregate, recover_dir, replay,
-    run_client, run_client_events, run_server, serve, serve_durable, ClientReport, Durability,
-    ExecutorService, Observability, PoolOptions, PoolWal, ProtocolService, ServerAggregate,
-    ServerConfig, ServerError, TcpTransport, WalWriter,
+    connect_tcp_clients, generate_events, loopback_pair, merged_reference_aggregate, pool_wal_dirs,
+    recover_dir, replay, run_client_events, run_server, run_tcp_clients, serve_durable, serve_pool,
+    ClientReport, Durability, ExecutorService, Observability, PoolOptions, PoolWal,
+    ProtocolService, ServerAggregate, ServerConfig, ServerError, WalWriter,
 };
 
+/// Most `--clients`: every client connects before the server accepts, so
+/// they must all fit the listener's backlog (128 for `TcpListener::bind`).
+const MAX_CLIENTS: usize = 128;
 /// Queue capacity bound (per queue/shard): small enough that the intake loop
 /// regularly hits backpressure at the default event count.
 const CAPACITY: usize = 64;
@@ -93,13 +96,65 @@ impl TransportKind {
     }
 }
 
-/// Durability options parsed from `--wal` and friends.
-#[derive(Debug)]
-struct WalOpts {
-    dir: std::path::PathBuf,
-    sync_every: u64,
-    snapshot_every: u64,
-    crash_after: Option<u64>,
+/// One client streams `cfg`'s events over the in-memory framed transport to
+/// a serve loop that write-ahead-logs them when `wal` is set.
+fn serve_loopback(
+    service: &ExecutorService,
+    cfg: &ServerConfig,
+    wal: Option<&PoolWal>,
+) -> Result<Vec<ClientReport>, ServerError> {
+    let (mut client_end, mut server_end) = loopback_pair();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(move || match wal {
+            None => serve_durable(service, &mut server_end, SERVICE_WINDOW, Durability::Off),
+            Some(opts) => {
+                let mut writer =
+                    WalWriter::create(&opts.root, opts.blocks).map_err(ServerError::Io)?;
+                if let Some(n) = opts.crash_after {
+                    writer.arm_crash_after_events(n);
+                }
+                let durability = Durability::LogSnapshot {
+                    wal: &mut writer,
+                    sync_every: opts.sync_every,
+                    snapshot_every: opts.snapshot_every,
+                };
+                serve_durable(service, &mut server_end, SERVICE_WINDOW, durability)
+            }
+        });
+        let report = run_client_events(&mut client_end, &generate_events(cfg), WINDOW, false);
+        drop(client_end);
+        server.join().expect("server thread")?;
+        Ok(vec![report?])
+    })
+}
+
+/// `clients` concurrent TCP clients, each on its own seed-derived stream,
+/// against the pool server (each connection logging into `conn-NNNN` under
+/// the WAL root when `wal` is set).
+fn serve_tcp(
+    service: &ExecutorService,
+    cfg: &ServerConfig,
+    clients: usize,
+    wal: Option<&PoolWal>,
+) -> Result<Vec<ClientReport>, ServerError> {
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(ServerError::Io)?;
+    let addr = listener.local_addr().map_err(ServerError::Io)?;
+    let pool_opts = PoolOptions {
+        window: SERVICE_WINDOW,
+        accept: clients,
+        wal: wal.cloned(),
+    };
+    // Connect *before* spawning the server (the listener's backlog holds
+    // the connections): if a connect fails, nothing is ever blocked in
+    // accept(), so the error propagates instead of hanging the scope on
+    // server.join().
+    let transports = connect_tcp_clients(addr, clients as u64)?;
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_pool(&listener, service, &pool_opts));
+        let reports = run_tcp_clients(transports, cfg, WINDOW, false);
+        server.join().expect("server thread")?;
+        reports.into_iter().collect()
+    })
 }
 
 /// Runs the event stream of `cfg` against one executor over the selected
@@ -110,131 +165,33 @@ fn run_one(
     cfg: &ServerConfig,
     transport: TransportKind,
     clients: usize,
-    wal: Option<&WalOpts>,
+    wal: Option<&PoolWal>,
 ) -> Option<Result<ServerAggregate, ServerError>> {
     let spec = ExecutorSpec::new(workers).capacity(CAPACITY);
     let mut pool = build_executor(name, &spec)?;
     let start = std::time::Instant::now();
     let outcome = match transport {
         TransportKind::Inproc => run_server(&*pool, cfg, WINDOW),
-        TransportKind::Loopback => {
+        TransportKind::Loopback | TransportKind::Tcp => {
             let service = ExecutorService::new(&*pool, cfg.blocks);
-            let (mut client_end, mut server_end) = loopback_pair();
-            std::thread::scope(|scope| {
-                let server = scope.spawn(move || match wal {
-                    None => serve(&service, &mut server_end, SERVICE_WINDOW),
-                    Some(opts) => {
-                        let mut writer =
-                            WalWriter::create(&opts.dir, cfg.blocks).map_err(ServerError::Io)?;
-                        if let Some(n) = opts.crash_after {
-                            writer.arm_crash_after_events(n);
-                        }
-                        let durability = if opts.snapshot_every == 0 {
-                            Durability::Log {
-                                wal: &mut writer,
-                                sync_every: opts.sync_every,
-                            }
-                        } else {
-                            Durability::LogSnapshot {
-                                wal: &mut writer,
-                                sync_every: opts.sync_every,
-                                snapshot_every: opts.snapshot_every,
-                            }
-                        };
-                        serve_durable(&service, &mut server_end, SERVICE_WINDOW, durability)
-                    }
-                });
-                let aggregate = run_client(&mut client_end, cfg, WINDOW);
-                drop(client_end);
-                match server.join().expect("server thread") {
-                    Err(e) => Err(e),
-                    Ok(_) => aggregate,
-                }
-            })
-        }
-        TransportKind::Tcp => {
-            let service = ExecutorService::new(&*pool, cfg.blocks);
-            let listener = match TcpListener::bind("127.0.0.1:0") {
-                Ok(l) => l,
-                Err(e) => return Some(Err(ServerError::Io(e))),
-            };
-            let addr = match listener.local_addr() {
-                Ok(a) => a,
-                Err(e) => return Some(Err(ServerError::Io(e))),
-            };
-            let pool_opts = PoolOptions {
-                window: SERVICE_WINDOW,
-                accept: clients,
-                wal: wal.map(|opts| PoolWal {
-                    root: opts.dir.clone(),
-                    blocks: cfg.blocks,
-                    sync_every: opts.sync_every,
-                    snapshot_every: opts.snapshot_every,
-                    crash_after: opts.crash_after,
-                }),
-            };
-            if clients == 1 {
-                // Connect *before* spawning the server (the listener's
-                // backlog holds the connection): if the connect fails,
-                // nothing is ever blocked in accept(), so the error
-                // propagates instead of hanging the scope on server.join().
-                let mut transport = match TcpStream::connect(addr).and_then(|stream| {
-                    stream.set_nodelay(true).ok();
-                    TcpTransport::new(stream)
-                }) {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(ServerError::Io(e))),
-                };
-                std::thread::scope(|scope| {
-                    let server = scope.spawn(|| serve_pool(&listener, &service, &pool_opts));
-                    let aggregate = run_client(&mut transport, cfg, WINDOW);
-                    drop(transport);
-                    match server.join().expect("server thread") {
-                        Err(e) => Err(e),
-                        Ok(_) => aggregate,
-                    }
-                })
+            let served = if transport == TransportKind::Tcp {
+                serve_tcp(&service, cfg, clients, wal)
             } else {
-                // N concurrent clients over one shared service: every client
-                // streams its own seed-derived stream and drains its acks;
-                // the merged aggregate is fetched once, driver-side, and
-                // checked against the sequential reference fold.
-                std::thread::scope(|scope| {
-                    let server = scope.spawn(|| serve_pool(&listener, &service, &pool_opts));
-                    let mut joined = Vec::with_capacity(clients);
-                    for client in 0..clients as u64 {
-                        let events = generate_events(&client_config(cfg, client));
-                        joined.push(scope.spawn(move || -> Result<ClientReport, ServerError> {
-                            let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-                            stream.set_nodelay(true).map_err(ServerError::Io)?;
-                            let mut t = TcpTransport::new(stream).map_err(ServerError::Io)?;
-                            run_client_events(&mut t, &events, WINDOW, false)
-                        }));
-                    }
-                    let mut completed = 0u64;
-                    let mut client_err: Option<ServerError> = None;
-                    for handle in joined {
-                        match handle.join().expect("client thread") {
-                            Ok(report) => completed += report.acked - report.panicked,
-                            Err(e) => {
-                                client_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                    server.join().expect("server thread")?;
-                    if let Some(e) = client_err {
-                        return Err(e);
-                    }
-                    service.flush();
-                    let aggregate = service.aggregate(completed);
-                    if aggregate != merged_reference_aggregate(cfg, clients as u64) {
-                        return Err(ServerError::Protocol(
-                            "merged aggregate diverged from the sequential reference fold".into(),
-                        ));
-                    }
-                    Ok(aggregate)
-                })
-            }
+                serve_loopback(&service, cfg, wal)
+            };
+            // The aggregate is folded once, driver-side, after every client
+            // has drained its acks — the same fold for one client or many.
+            served.and_then(|reports| {
+                let completed = reports.iter().map(|r| r.acked - r.panicked).sum();
+                service.flush();
+                let aggregate = service.aggregate(completed);
+                if aggregate != merged_reference_aggregate(cfg, clients as u64) {
+                    return Err(ServerError::Protocol(
+                        "aggregate diverged from the sequential reference fold".into(),
+                    ));
+                }
+                Ok(aggregate)
+            })
         }
     };
     let elapsed = start.elapsed();
@@ -253,26 +210,6 @@ fn run_one(
     Some(outcome)
 }
 
-/// The `conn-NNNN` per-connection log directories a pool server with `--wal`
-/// leaves under `root` (empty when `root` itself holds a single log).
-fn conn_log_dirs(root: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return Vec::new();
-    };
-    let mut dirs: Vec<_> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_dir()
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("conn-"))
-        })
-        .collect();
-    dirs.sort();
-    dirs
-}
-
 /// `--recover`: loads the log(s) under `dir` — either a single log or the
 /// `conn-NNNN` per-connection logs a multi-client pool server left — replays
 /// each through every selected executor, and checks the recovered aggregates
@@ -285,7 +222,7 @@ fn run_recovery(
     trace_path: Option<&str>,
 ) -> ExitCode {
     let obs = trace_path.map(|_| Observability::with_default_trace());
-    let conn_dirs = conn_log_dirs(dir);
+    let conn_dirs = pool_wal_dirs(dir);
     let outcome = if !conn_dirs.is_empty() {
         println!(
             "recovering {} per-connection logs under {}\n",
@@ -299,15 +236,11 @@ fn run_recovery(
             );
             return ExitCode::from(2);
         }
-        let mut result = Ok(());
-        for conn_dir in &conn_dirs {
-            if let Err(code) = recover_single(conn_dir, names, workers, None, obs.as_ref()) {
-                result = Err(code);
-                break;
-            }
+        conn_dirs.iter().try_for_each(|conn_dir| {
+            recover_single(conn_dir, names, workers, None, obs.as_ref())?;
             println!();
-        }
-        result
+            Ok(())
+        })
     } else {
         recover_single(dir, names, workers, json_path, obs.as_ref())
     };
@@ -485,9 +418,9 @@ fn main() -> ExitCode {
                 }
             },
             "--clients" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => clients = n,
+                Some(n) if (1..=MAX_CLIENTS).contains(&n) => clients = n,
                 _ => {
-                    eprintln!("--clients needs a positive integer");
+                    eprintln!("--clients needs an integer in 1..={MAX_CLIENTS}");
                     return ExitCode::from(2);
                 }
             },
@@ -498,9 +431,9 @@ fn main() -> ExitCode {
                      [--wal DIR [--sync-every N] [--snapshot-every N] [--crash-after N]] \
                      [--recover --wal DIR [--trace PATH]]\n\
                      NAME is one of {EXECUTOR_NAMES:?}. PDQ_WORKERS sets the worker count.\n\
-                     --clients N serves N concurrent TCP clients through the pool server \
-                     (per-client seeded streams, driver-side merged aggregate); with --wal \
-                     each connection logs into DIR/conn-NNNN."
+                     --clients N (at most {MAX_CLIENTS}) serves N concurrent TCP clients \
+                     through the pool server (per-client seeded streams, driver-side merged \
+                     aggregate); with --wal each connection logs into DIR/conn-NNNN."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -510,24 +443,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Same rules as pdq_bench::runner's env validation (unset/empty means
-    // the default; malformed or out-of-range is rejected) — the example
-    // cannot reuse that code because the facade does not depend on
-    // pdq-bench.
-    let workers = match std::env::var("PDQ_WORKERS") {
-        Err(_) => 4,
-        Ok(v) if v.is_empty() => 4,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if (1..=512).contains(&n) => n,
-            Ok(_) => {
-                eprintln!("PDQ_WORKERS={v} is out of range (expected 1..=512)");
-                return ExitCode::from(2);
-            }
-            Err(_) => {
-                eprintln!("PDQ_WORKERS={v} is not a valid number (expected 1..=512)");
-                return ExitCode::from(2);
-            }
-        },
+    let raw_workers = std::env::var("PDQ_WORKERS").ok();
+    let workers = match parse_env_value("PDQ_WORKERS", raw_workers.as_deref(), 1usize, 512) {
+        Ok(workers) => workers.unwrap_or(4),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
 
     let names: Vec<&str> = if executor == "all" {
@@ -575,8 +497,9 @@ fn main() -> ExitCode {
                 println!("--wal upgrades the inproc transport to loopback (the log sits in the framed serve loop)\n");
                 transport = TransportKind::Loopback;
             }
-            Some(WalOpts {
-                dir,
+            Some(PoolWal {
+                root: dir,
+                blocks: cfg.blocks,
                 sync_every,
                 snapshot_every,
                 crash_after,

@@ -43,20 +43,19 @@
 //! snapshot. The aggregate `--json` output is byte-identical with and
 //! without any of these flags.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use pdq_repro::core::executor::{
-    build_executor, Executor, ExecutorSpec, ExecutorStats, EXECUTOR_NAMES,
+    build_executor, parse_env_value, Executor, ExecutorSpec, ExecutorStats, EXECUTOR_NAMES,
 };
-use pdq_repro::metrics::{bucket_index, validate_jsonl, HistogramSnapshot};
+use pdq_repro::metrics::{bucket_index, push_json_string, validate_jsonl, HistogramSnapshot};
 use pdq_repro::workloads::{
-    client_config, generate_events, merged_reference_aggregate, run_client_events, scrape_metrics,
-    serve_metrics, serve_poll_observed, serve_pool_observed, ClientReport, ExecutorService,
-    Observability, PollOptions, PoolOptions, ProtocolService, ServerAggregate, ServerConfig,
-    ServerError, TcpTransport,
+    connect_tcp_clients, merged_reference_aggregate, run_tcp_clients, scrape_metrics,
+    serve_metrics, serve_poll_observed, serve_pool_observed, ExecutorService, Observability,
+    PollOptions, PoolOptions, ProtocolService, ServerAggregate, ServerConfig, ServerError,
 };
 
 /// Executor queue capacity per queue/shard — big enough to keep hundreds of
@@ -178,16 +177,14 @@ fn run_soak(
                 )
                 .map(|r| (r.answered, r.suspensions, r.batches)),
             });
-            let mut joined = Vec::with_capacity(clients);
-            for client in 0..clients as u64 {
-                joined.push(scope.spawn(move || -> Result<ClientReport, ServerError> {
-                    let events = generate_events(&client_config(base, client));
-                    let stream = TcpStream::connect(addr).map_err(ServerError::Io)?;
-                    stream.set_nodelay(true).map_err(ServerError::Io)?;
-                    let mut transport = TcpTransport::new(stream).map_err(ServerError::Io)?;
-                    run_client_events(&mut transport, &events, CLIENT_WINDOW, true)
-                }));
-            }
+            // Soak client counts outgrow the listener backlog, so clients
+            // connect while the server accepts.
+            let client_run = scope.spawn(move || {
+                let transports = connect_tcp_clients(addr, clients as u64)?;
+                run_tcp_clients(transports, base, CLIENT_WINDOW, true)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+            });
             // Scrape the sidecar while the clients stream: the endpoint
             // must be reachable and render the registry under live traffic.
             let mid_scrape = match &exporter_listener {
@@ -197,32 +194,9 @@ fn run_soak(
                 }
                 None => None,
             };
-            let mut latencies_ns = Vec::new();
-            let mut completed = 0u64;
-            let mut client_err: Option<ServerError> = None;
-            for handle in joined {
-                match handle.join().expect("client thread") {
-                    Ok(report) => {
-                        completed += report.acked - report.panicked;
-                        latencies_ns.extend(report.latencies_ns);
-                    }
-                    Err(e) => {
-                        client_err.get_or_insert(e);
-                    }
-                }
-            }
+            let reports = client_run.join().expect("client threads");
             let (answered, suspensions, batches) = server.join().expect("server thread")?;
-            if let Some(e) = client_err {
-                return Err(e);
-            }
-            Ok((
-                latencies_ns,
-                completed,
-                answered,
-                suspensions,
-                batches,
-                mid_scrape,
-            ))
+            Ok((reports?, answered, suspensions, batches, mid_scrape))
         };
         let served = serve_run();
         stop_exporter.store(true, Ordering::Release);
@@ -232,13 +206,14 @@ fn run_soak(
                 .expect("exporter thread")
                 .map_err(ServerError::Io)?;
         }
-        let (latencies_ns, completed, answered, suspensions, batches, mid_scrape) = served?;
+        let (reports, answered, suspensions, batches, mid_scrape) = served?;
         let elapsed = start.elapsed();
+        let completed = reports.iter().map(|r| r.acked - r.panicked).sum();
         service.flush();
         Ok(SoakOutcome {
             aggregate: service.aggregate(completed),
             elapsed,
-            latencies_ns,
+            latencies_ns: reports.into_iter().flat_map(|r| r.latencies_ns).collect(),
             answered,
             suspensions,
             batches,
@@ -250,35 +225,17 @@ fn run_soak(
     Some(outcome)
 }
 
-fn parse_env(name: &str, default: usize, range: std::ops::RangeInclusive<usize>) -> Option<usize> {
-    match std::env::var(name) {
-        Err(_) => Some(default),
-        Ok(v) if v.is_empty() => Some(default),
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if range.contains(&n) => Some(n),
-            _ => {
-                eprintln!("{name}={v} is invalid (expected {range:?})");
-                None
-            }
-        },
-    }
+/// Reads environment variable `name` as a count in `1..=max`, `default`
+/// when unset.
+fn env_count(name: &str, default: usize, max: usize) -> Result<usize, String> {
+    let raw = std::env::var(name).ok();
+    Ok(parse_env_value(name, raw.as_deref(), 1, max)?.unwrap_or(default))
 }
 
-/// Escapes `text` as a JSON string literal body (used to embed the metrics
-/// snapshot and trace status in the `--report-json` output).
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 8);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `text` as a quoted JSON string literal.
+fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    push_json_string(&mut out, text);
     out
 }
 
@@ -412,11 +369,15 @@ fn main() -> ExitCode {
             }
         }
     }
-    let Some(workers) = parse_env("PDQ_WORKERS", 4, 1..=512) else {
-        return ExitCode::from(2);
-    };
-    let Some(poll_threads) = parse_env("PDQ_POLL_THREADS", 4, 1..=8) else {
-        return ExitCode::from(2);
+    let (workers, poll_threads) = match (
+        env_count("PDQ_WORKERS", 4, 512),
+        env_count("PDQ_POLL_THREADS", 4, 8),
+    ) {
+        (Ok(workers), Ok(poll_threads)) => (workers, poll_threads),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     };
 
     let per_client = (total_events / clients).max(1);
@@ -573,17 +534,17 @@ fn main() -> ExitCode {
                             "    {{\n      \"executor\": \"{}\",\n      \"tier\": \"{}\",\n      \
                              \"clients\": {},\n      \"events\": {},\n      \
                              \"throughput_events_per_sec\": {:.0},\n      \
-                             \"latency_agreement\": [{}],\n      \"trace\": \"{}\",\n      \
-                             \"executor_stats\": {},\n      \"metrics\": \"{}\"\n    }}",
+                             \"latency_agreement\": [{}],\n      \"trace\": {},\n      \
+                             \"executor_stats\": {},\n      \"metrics\": {}\n    }}",
                             name,
                             tier.name(),
                             clients,
                             total,
                             throughput,
                             agreement_json.join(", "),
-                            json_escape(&trace_status),
+                            json_string(&trace_status),
                             outcome.stats.to_json_string().trim_end(),
-                            json_escape(&metrics_text)
+                            json_string(&metrics_text)
                         ));
                     }
                 }
